@@ -7,10 +7,9 @@
 //  * ASH dispatch with pre-bound address translation (Section III-A note);
 //  * DILP composition depth: fused loop cost as pipes stack up, and the
 //    Ethernet striped-source loop variant (Section III-C);
-//  * the host execution engine (--code-cache={on,off}): pre-decoded
-//    threaded form vs plain interpreter. Simulated cycles are bit-identical
-//    on both paths; the axis only changes host wall-clock, reported in
-//    Ablation C;
+//  * the host execution engine (--backend={interp,jit}): superblock JIT
+//    vs reference interpreter. Simulated cycles are bit-identical on both
+//    paths; the axis only changes host wall-clock, reported in Ablation C;
 //  * the ashtrace tracer (--trace): a pure observer that never charges
 //    simulated cycles, so enabling it must leave every simulated result
 //    bit-identical (checked here) and only costs host wall-clock, reported
@@ -29,16 +28,14 @@
 #include "trace/trace.hpp"
 #include "util/byteorder.hpp"
 #include "vcode/backend.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
 
 namespace ash::bench {
 namespace {
 
-// --backend={interp,codecache,jit}: which engine executes the handlers
-// below (--code-cache={on,off} is the legacy two-way spelling).
-vcode::Backend g_backend = vcode::Backend::CodeCache;
+// --backend={interp,jit}: which engine executes the handlers below.
+vcode::Backend g_backend = vcode::Backend::Jit;
 
 /// Cycles for one remote-increment invocation under the given options
 /// (execution only; dispatch costs added per the option set).
@@ -92,13 +89,8 @@ double invocation_cycles(const core::AshOptions& opts) {
     regs[vcode::kRegArg1] = 4;
     regs[vcode::kRegArg2] = seg + 0x100;
     regs[vcode::kRegArg3] = 0;
-    if (g_backend == vcode::Backend::Jit) {
-      vcode::JitBackend jit(installed);
-      r = jit.run(env, regs, limits);
-    } else {
-      vcode::CodeCache cache(installed);
-      r = cache.run(env, regs, limits);
-    }
+    vcode::JitBackend jit(installed);
+    r = jit.run(env, regs, limits);
   }
   if (r.outcome != vcode::Outcome::Halted) return -2;
 
@@ -126,7 +118,6 @@ double host_ns_per_invocation(vcode::Backend be) {
   auto boxed = sandbox::sandbox(ashlib::make_remote_increment(), sb, &error);
   if (!boxed) return -1;
   const vcode::Program installed = std::move(boxed->program);
-  const vcode::CodeCache cache(installed);
   const vcode::JitBackend jit(installed);
 
   const std::uint32_t msg = seg + 0x8000;
@@ -154,8 +145,7 @@ double host_ns_per_invocation(vcode::Backend be) {
     regs[vcode::kRegArg0] = msg;
     regs[vcode::kRegArg1] = 4;
     regs[vcode::kRegArg2] = seg + 0x100;
-    if (be == vcode::Backend::Jit) return jit.run(env, regs, limits).outcome;
-    return cache.run(env, regs, limits).outcome;
+    return jit.run(env, regs, limits).outcome;
   };
   for (int i = 0; i < kWarmup; ++i) {
     if (once() != vcode::Outcome::Halted) return -2;
@@ -192,22 +182,16 @@ int main(int argc, char** argv) {
 
   bool with_trace = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--code-cache=on") == 0) {
-      g_backend = ash::vcode::Backend::CodeCache;
-    } else if (std::strcmp(argv[i], "--code-cache=off") == 0) {
+    if (std::strcmp(argv[i], "--backend=interp") == 0) {
       g_backend = ash::vcode::Backend::Interp;
-    } else if (std::strcmp(argv[i], "--backend=interp") == 0) {
-      g_backend = ash::vcode::Backend::Interp;
-    } else if (std::strcmp(argv[i], "--backend=codecache") == 0) {
-      g_backend = ash::vcode::Backend::CodeCache;
     } else if (std::strcmp(argv[i], "--backend=jit") == 0) {
       g_backend = ash::vcode::Backend::Jit;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       with_trace = true;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_ablations [--backend={interp,codecache,jit}]"
-                   " [--code-cache={on,off}] [--trace]\n");
+                   "usage: bench_ablations [--backend={interp,jit}] "
+                   "[--trace]\n");
       return 2;
     }
   }
@@ -273,9 +257,6 @@ int main(int argc, char** argv) {
   host_rows.push_back({"interpreter",
                        host_ns_per_invocation(ash::vcode::Backend::Interp),
                        -1, "host ns/invocation"});
-  host_rows.push_back({"code cache (translate at download)",
-                       host_ns_per_invocation(ash::vcode::Backend::CodeCache),
-                       -1, "host ns/invocation"});
   host_rows.push_back({"superblock jit (fused pipe chains)",
                        host_ns_per_invocation(ash::vcode::Backend::Jit),
                        -1, "host ns/invocation"});
@@ -305,7 +286,6 @@ int main(int argc, char** argv) {
     // Ablation C, with the tracer recording every invocation.
     std::vector<Row> trace_rows;
     for (const auto be : {ash::vcode::Backend::Interp,
-                          ash::vcode::Backend::CodeCache,
                           ash::vcode::Backend::Jit}) {
       const char* eng = ash::vcode::to_string(be);
       const double off_ns = host_ns_per_invocation(be);

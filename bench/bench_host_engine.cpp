@@ -1,6 +1,6 @@
 // Host execution-engine microbenchmark: ns per VCODE invocation for the
-// plain interpreter vs the download-time translated form (CodeCache) vs
-// the superblock JIT, on the handlers the paper's evaluation leans on:
+// reference interpreter vs the download-time translated form (the
+// superblock JIT), on the handlers the paper's evaluation leans on:
 //
 //  * Table V's remote-increment (sandboxed),
 //  * Table VI's TCP receive fast path, replayed on a real committing
@@ -10,7 +10,7 @@
 //    where the JIT collapses the whole loop into one host pass.
 //
 // Simulated results (outcome, cycles, insns, registers) are bit-identical
-// on all three paths — asserted at setup — so this measures only how fast
+// on both paths — asserted at setup — so this measures only how fast
 // the host machine turns the simulation crank.
 //
 // Modes:
@@ -40,7 +40,6 @@
 #include "util/byteorder.hpp"
 #include "util/rng.hpp"
 #include "vcode/backend.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/env_util.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
@@ -57,8 +56,7 @@ using sim::Task;
 using sim::us;
 using vcode::Backend;
 
-constexpr Backend kBackends[] = {Backend::Interp, Backend::CodeCache,
-                                 Backend::Jit};
+constexpr Backend kBackends[] = {Backend::Interp, Backend::Jit};
 
 // ---------------------------------------------------------------- TCP ----
 
@@ -128,8 +126,7 @@ vcode::ExecResult replay(TcpFixture& f, Backend be) {
   regs[vcode::kRegArg1] = f.msg_len;
   regs[vcode::kRegArg2] = f.tcb_base;
   regs[vcode::kRegArg3] = static_cast<std::uint32_t>(f.channel);
-  if (be == Backend::Jit) return f.jit->run(env, regs, limits);
-  return f.ash_b->code_cache(f.ash_id)->run(env, regs, limits);
+  return f.jit->run(env, regs, limits);
 }
 
 TcpFixture* build_tcp_fixture() {
@@ -146,7 +143,7 @@ TcpFixture* build_tcp_fixture() {
     An2Link link(self, *f->dev_b, {});
     TcpConnection conn(link, fixture_cfg(false));
     std::string error;
-    core::AshOptions opts;  // sandboxed, code cache on
+    core::AshOptions opts;  // sandboxed, JIT
     const auto fp = ashlib::install_tcp_fastpath(*f->ash_b, *f->dev_b,
                                                  link.vc(), conn, opts,
                                                  &error);
@@ -236,14 +233,10 @@ TcpFixture* build_tcp_fixture() {
   // misses on the first pass, and we compare cycles exactly.
   (void)replay(*f, Backend::Interp);
   const vcode::ExecResult ri = replay(*f, Backend::Interp);
-  const vcode::ExecResult rc = replay(*f, Backend::CodeCache);
   const vcode::ExecResult rj = replay(*f, Backend::Jit);
   if (ri.outcome != vcode::Outcome::Halted ||
-      rc.outcome != vcode::Outcome::Halted ||
-      rj.outcome != vcode::Outcome::Halted || ri.insns != rc.insns ||
-      ri.cycles != rc.cycles || ri.result != rc.result ||
-      ri.insns != rj.insns || ri.cycles != rj.cycles ||
-      ri.result != rj.result) {
+      rj.outcome != vcode::Outcome::Halted || ri.insns != rj.insns ||
+      ri.cycles != rj.cycles || ri.result != rj.result) {
     std::fprintf(stderr, "bench_host_engine: engines disagree on the "
                          "captured invocation\n");
     std::exit(1);
@@ -283,7 +276,6 @@ struct RiFixture {
   sim::Node* n = nullptr;
   std::unique_ptr<core::AshSystem> sys;
   vcode::Program prog;
-  std::unique_ptr<vcode::CodeCache> cache;
   std::unique_ptr<vcode::JitBackend> jit;
   std::uint32_t seg = 0x100000;
   std::uint32_t msg = 0;
@@ -312,8 +304,7 @@ vcode::ExecResult ri_run(RiFixture& f, Backend be) {
   regs[vcode::kRegArg0] = f.msg;
   regs[vcode::kRegArg1] = 4;
   regs[vcode::kRegArg2] = f.seg + 0x100;
-  if (be == Backend::Jit) return f.jit->run(env, regs, limits);
-  return f.cache->run(env, regs, limits);
+  return f.jit->run(env, regs, limits);
 }
 
 RiFixture& ri_fixture() {
@@ -331,16 +322,14 @@ RiFixture& ri_fixture() {
       std::exit(1);
     }
     r->prog = std::move(boxed->program);
-    r->cache = std::make_unique<vcode::CodeCache>(r->prog);
     r->jit = std::make_unique<vcode::JitBackend>(r->prog);
     r->msg = r->seg + 0x8000;
     util::store_u32(r->n->mem(r->msg, 4), 42);
     (void)ri_run(*r, Backend::Interp);  // warm the simulated cache model
     const vcode::ExecResult a = ri_run(*r, Backend::Interp);
-    const vcode::ExecResult b = ri_run(*r, Backend::CodeCache);
     const vcode::ExecResult j = ri_run(*r, Backend::Jit);
-    if (a.outcome != vcode::Outcome::Halted || a.insns != b.insns ||
-        a.cycles != b.cycles || a.insns != j.insns || a.cycles != j.cycles) {
+    if (a.outcome != vcode::Outcome::Halted || a.insns != j.insns ||
+        a.cycles != j.cycles) {
       std::fprintf(stderr, "remote-increment engines disagree\n");
       std::exit(1);
     }
@@ -408,10 +397,9 @@ DilpFixture& dilp_fixture() {
       mem[d->src + i] = static_cast<std::uint8_t>(rng.next());
     }
     const vcode::ExecResult a = dilp_run(*d, Backend::Interp);
-    const vcode::ExecResult b = dilp_run(*d, Backend::CodeCache);
     const vcode::ExecResult j = dilp_run(*d, Backend::Jit);
-    if (a.outcome != vcode::Outcome::Halted || a.insns != b.insns ||
-        a.cycles != b.cycles || a.insns != j.insns || a.cycles != j.cycles) {
+    if (a.outcome != vcode::Outcome::Halted || a.insns != j.insns ||
+        a.cycles != j.cycles) {
       std::fprintf(stderr, "dilp chain engines disagree\n");
       std::exit(1);
     }
@@ -441,13 +429,10 @@ void BM_DilpChain(benchmark::State& state, Backend be) {
 }
 
 BENCHMARK_CAPTURE(BM_RemoteIncrement, interp, Backend::Interp);
-BENCHMARK_CAPTURE(BM_RemoteIncrement, codecache, Backend::CodeCache);
 BENCHMARK_CAPTURE(BM_RemoteIncrement, jit, Backend::Jit);
 BENCHMARK_CAPTURE(BM_TcpFastpath, interp, Backend::Interp);
-BENCHMARK_CAPTURE(BM_TcpFastpath, codecache, Backend::CodeCache);
 BENCHMARK_CAPTURE(BM_TcpFastpath, jit, Backend::Jit);
 BENCHMARK_CAPTURE(BM_DilpChain, interp, Backend::Interp);
-BENCHMARK_CAPTURE(BM_DilpChain, codecache, Backend::CodeCache);
 BENCHMARK_CAPTURE(BM_DilpChain, jit, Backend::Jit);
 
 // ---------------------------------------------- manual timing sweep -------
@@ -472,7 +457,7 @@ double time_ns(F&& fn, double min_ms = 60.0) {
 
 struct Workload {
   const char* name;
-  double ns[3];  // indexed by Backend order: interp, codecache, jit
+  double ns[std::size(kBackends)];  // interp, jit
 };
 
 std::vector<Workload> run_sweep() {
@@ -480,24 +465,24 @@ std::vector<Workload> run_sweep() {
   {
     Workload w{"remote_increment", {}};
     RiFixture& f = ri_fixture();
-    for (Backend be : kBackends) {
-      w.ns[static_cast<int>(be)] = time_ns([&] { (void)ri_run(f, be); });
+    for (std::size_t b = 0; b < std::size(kBackends); ++b) {
+      w.ns[b] = time_ns([&] { (void)ri_run(f, kBackends[b]); });
     }
     out.push_back(w);
   }
   {
     Workload w{"tcp_fastpath", {}};
     TcpFixture& f = tcp_fixture();
-    for (Backend be : kBackends) {
-      w.ns[static_cast<int>(be)] = time_ns([&] { (void)replay(f, be); });
+    for (std::size_t b = 0; b < std::size(kBackends); ++b) {
+      w.ns[b] = time_ns([&] { (void)replay(f, kBackends[b]); });
     }
     out.push_back(w);
   }
   {
     Workload w{"dilp_chain", {}};
     DilpFixture& f = dilp_fixture();
-    for (Backend be : kBackends) {
-      w.ns[static_cast<int>(be)] = time_ns([&] { (void)dilp_run(f, be); });
+    for (std::size_t b = 0; b < std::size(kBackends); ++b) {
+      w.ns[b] = time_ns([&] { (void)dilp_run(f, kBackends[b]); });
     }
     out.push_back(w);
   }
@@ -542,13 +527,10 @@ int main(int argc, char** argv) {
            "\"ns/invocation\",\n  \"workloads\": {\n";
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const Workload& w = sweep[i];
-      const double si = w.ns[0] / w.ns[2];   // jit vs interp
-      const double sc = w.ns[1] / w.ns[2];   // jit vs codecache
       std::snprintf(line, sizeof line,
-                    "    \"%s\": {\"interp\": %.1f, \"codecache\": %.1f, "
-                    "\"jit\": %.1f, \"jit_vs_interp\": %.2f, "
-                    "\"jit_vs_codecache\": %.2f}%s\n",
-                    w.name, w.ns[0], w.ns[1], w.ns[2], si, sc,
+                    "    \"%s\": {\"interp\": %.1f, \"jit\": %.1f, "
+                    "\"jit_vs_interp\": %.2f}%s\n",
+                    w.name, w.ns[0], w.ns[1], w.ns[0] / w.ns[1],
                     i + 1 < sweep.size() ? "," : "");
       out += line;
     }

@@ -109,25 +109,14 @@ int AshSystem::download(sim::Process& owner, const vcode::Program& prog,
     }
   }
 
-  // Translate stage: resolve the backend, then build the translated form
-  // once, at install. Resolution order: AshOptions::backend, then the
-  // legacy use_code_cache=false knob (demotes CodeCache to Interp), then
-  // ASH_USE_CODE_CACHE, then ASH_BACKEND (strongest).
+  // Translate stage: resolve the backend (AshOptions::backend, then
+  // ASH_BACKEND), then build the translated form once, at install. Every
+  // value but Interp resolves to the JIT.
   vcode::Backend be = opts.backend;
-  if (!opts.use_code_cache && be == vcode::Backend::CodeCache) {
-    be = vcode::Backend::Interp;
-  }
-  const int env_override = vcode::code_cache_env_override();
-  if (env_override >= 0) {
-    be = env_override != 0 ? vcode::Backend::CodeCache
-                           : vcode::Backend::Interp;
-  }
   vcode::backend_env_override(&be);
+  if (be != vcode::Backend::Interp) be = vcode::Backend::Jit;
   entry->opts.backend = be;
-  entry->opts.use_code_cache = be == vcode::Backend::CodeCache;
-  if (be == vcode::Backend::CodeCache) {
-    entry->cache = std::make_unique<vcode::CodeCache>(entry->prog);
-  } else if (be == vcode::Backend::Jit) {
+  if (be == vcode::Backend::Jit) {
     entry->jit = std::make_unique<vcode::JitBackend>(entry->prog);
   }
 
@@ -302,10 +291,6 @@ const sim::Process& AshSystem::owner(int ash_id) const {
   return *at(ash_id).owner;
 }
 
-const vcode::CodeCache* AshSystem::code_cache(int ash_id) const {
-  return at(ash_id).cache.get();
-}
-
 const vcode::JitBackend* AshSystem::jit_backend(int ash_id) const {
   return at(ash_id).jit.get();
 }
@@ -317,7 +302,6 @@ vcode::Backend AshSystem::backend(int ash_id) const {
 vcode::BackendStats AshSystem::backend_stats(int ash_id) const {
   const Installed& ash = at(ash_id);
   if (ash.jit != nullptr) return ash.jit->stats();
-  if (ash.cache != nullptr) return ash.cache->stats();
   return {vcode::Backend::Interp, ash.stats.invocations, 0, 0, 0};
 }
 
@@ -435,14 +419,13 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
   // Calling convention: r1 = message address, r2 = length, r3 = the
   // application argument bound at attach, r4 = reply channel.
   vcode::ExecResult exec;
-  if (ash.jit != nullptr || ash.cache != nullptr) {
+  if (ash.jit != nullptr) {
     std::array<std::uint32_t, vcode::kNumRegs> regs{};
     regs[vcode::kRegArg0] = msg.addr;
     regs[vcode::kRegArg1] = msg.len;
     regs[vcode::kRegArg2] = msg.user_arg;
     regs[vcode::kRegArg3] = static_cast<std::uint32_t>(msg.channel);
-    exec = ash.jit != nullptr ? ash.jit->run(env, regs, limits)
-                              : ash.cache->run(env, regs, limits);
+    exec = ash.jit->run(env, regs, limits);
   } else {
     vcode::Interpreter interp(ash.prog, env);
     interp.set_args(msg.addr, msg.len, msg.user_arg,

@@ -47,7 +47,6 @@
 #include "sim/node.hpp"
 #include "sim/process.hpp"
 #include "vcode/backend.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/jit/jit.hpp"
 #include "vcode/program.hpp"
 
@@ -91,21 +90,12 @@ struct AshOptions {
   bool software_budget_checks = false;
   sandbox::Mode mode = sandbox::Mode::Mips;
   bool general_epilogue = true;
-  /// Translate the (verified, sandboxed) program into the pre-decoded
-  /// threaded form at download time and execute through it. Simulated
+  /// Execution backend for this handler: the superblock JIT (vcode/jit/),
+  /// translated once at download, or the reference interpreter. Simulated
   /// results are bit-identical either way — this is a host wall-clock
-  /// knob, exposed for ablation. Overridable per-process with the
-  /// ASH_USE_CODE_CACHE environment variable (0/off forces the
-  /// interpreter, anything else forces the cache). Kept for ablation
-  /// compatibility: `backend` below is the full three-way selector.
-  bool use_code_cache = true;
-  /// Execution backend for this handler: the reference interpreter, the
-  /// pre-decoded threaded form, or the superblock JIT (vcode/jit/).
-  /// Simulated results are bit-identical across all three. Resolution
-  /// order at download: this field, then use_code_cache=false demotes
-  /// CodeCache to Interp, then ASH_USE_CODE_CACHE, then ASH_BACKEND
-  /// (strongest).
-  vcode::Backend backend = vcode::Backend::CodeCache;
+  /// knob. The ASH_BACKEND environment variable (interp|jit) overrides it
+  /// for the whole process.
+  vcode::Backend backend = vcode::Backend::Jit;
 };
 
 /// Forensic record of a handler's most recent involuntary abort — what an
@@ -290,12 +280,8 @@ class AshSystem {
   const vcode::Program& program(int ash_id) const;
   const sim::Process& owner(int ash_id) const;
 
-  /// The translated form built at download time, or nullptr when the
-  /// handler was installed with a different backend.
-  const vcode::CodeCache* code_cache(int ash_id) const;
-
-  /// The superblock JIT form, or nullptr when the handler was installed
-  /// with a different backend.
+  /// The superblock JIT form built at download time, or nullptr when the
+  /// handler was installed on the interpreter.
   const vcode::JitBackend* jit_backend(int ash_id) const;
 
   /// The backend a handler was resolved to at download time.
@@ -357,10 +343,9 @@ class AshSystem {
     vcode::Program prog;
     AshOptions opts;
     AshStats stats;
-    // Translated forms, built once at install (the translate stage);
-    // invocation never re-decodes. At most one is non-null, per the
-    // resolved AshOptions::backend.
-    std::unique_ptr<vcode::CodeCache> cache;
+    // Translated form, built once at install (the translate stage);
+    // invocation never re-decodes. Null when the resolved
+    // AshOptions::backend is the interpreter.
     std::unique_ptr<vcode::JitBackend> jit;
     Supervisor::HandlerState health;
     std::vector<Attachment> attachments;

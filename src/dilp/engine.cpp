@@ -4,14 +4,7 @@
 
 namespace ash::dilp {
 
-Engine::Engine() {
-  const int env_override = vcode::code_cache_env_override();
-  if (env_override >= 0) {
-    backend_ = env_override != 0 ? vcode::Backend::CodeCache
-                                 : vcode::Backend::Interp;
-  }
-  vcode::backend_env_override(&backend_);
-}
+Engine::Engine() { vcode::backend_env_override(&backend_); }
 
 int Engine::register_ilp(const PipeList& pl, Direction dir,
                          std::string* error, const LoopLayout& layout) {
@@ -19,9 +12,7 @@ int Engine::register_ilp(const PipeList& pl, Direction dir,
   if (!compiled) return -1;
   ilps_.push_back(std::move(*compiled));
   // Translate stage: the fused loop goes through the same download-time
-  // translation ASHs get, once, at registration. Both forms are built so
-  // the backend knob stays a pure execution-path selector.
-  caches_.push_back(std::make_unique<vcode::CodeCache>(ilps_.back().loop));
+  // translation ASHs get, once, at registration.
   jits_.push_back(std::make_unique<vcode::JitBackend>(ilps_.back().loop));
   return static_cast<int>(ilps_.size() - 1);
 }
@@ -29,11 +20,6 @@ int Engine::register_ilp(const PipeList& pl, Direction dir,
 const CompiledIlp* Engine::get(int id) const noexcept {
   if (id < 0 || static_cast<std::size_t>(id) >= ilps_.size()) return nullptr;
   return &ilps_[static_cast<std::size_t>(id)];
-}
-
-const vcode::CodeCache* Engine::code_cache(int id) const noexcept {
-  if (id < 0 || static_cast<std::size_t>(id) >= caches_.size()) return nullptr;
-  return caches_[static_cast<std::size_t>(id)].get();
 }
 
 const vcode::JitBackend* Engine::jit_backend(int id) const noexcept {
@@ -69,13 +55,7 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
         regs[r] = i < persistent_in.size() ? persistent_in[i] : 0;
       }
     }
-    if (backend_ == vcode::Backend::Jit) {
-      result.exec =
-          jits_[static_cast<std::size_t>(id)]->run(env, regs, limits);
-    } else {
-      result.exec =
-          caches_[static_cast<std::size_t>(id)]->run(env, regs, limits);
-    }
+    result.exec = jits_[static_cast<std::size_t>(id)]->run(env, regs, limits);
     if (persistent_out != nullptr) {
       persistent_out->clear();
       persistent_out->reserve(ilp->persistents.size());

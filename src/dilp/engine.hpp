@@ -19,7 +19,6 @@
 
 #include "dilp/compiler.hpp"
 #include "vcode/backend.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
 
@@ -27,13 +26,12 @@ namespace ash::dilp {
 
 class Engine {
  public:
-  /// By default the engine translates each registered loop at registration
-  /// time (the same download-time translate stage ASHs get) and runs
-  /// through the pre-decoded threaded form; ASH_USE_CODE_CACHE and then
-  /// ASH_BACKEND override the initial setting. Simulated results are
-  /// identical across all backends. With Backend::Jit, the superblock
-  /// lowering additionally fuses the whole loop (checksum + byteswap +
-  /// copy) into one emitted host pass over the message.
+  /// The engine translates each registered loop with the superblock JIT
+  /// at registration time (the same download-time translate stage ASHs
+  /// get) and runs through it; the JIT fuses the whole loop (checksum +
+  /// byteswap + copy) into one emitted host pass over the message.
+  /// ASH_BACKEND overrides the initial setting. Simulated results are
+  /// identical on both backends.
   Engine();
   /// Compile and register a pipe composition. Returns the ilp id, or -1
   /// on failure (with `error` filled in). `layout` selects the network-
@@ -67,26 +65,15 @@ class Engine {
   void set_backend(vcode::Backend be) noexcept { backend_ = be; }
   vcode::Backend backend() const noexcept { return backend_; }
 
-  /// Legacy two-way form of set_backend, kept for the existing ablation
-  /// surface: true = CodeCache, false = Interp.
-  void set_use_code_cache(bool on) noexcept {
-    backend_ = on ? vcode::Backend::CodeCache : vcode::Backend::Interp;
-  }
-  bool use_code_cache() const noexcept {
-    return backend_ == vcode::Backend::CodeCache;
-  }
-
-  /// The translated forms of a registered loop (always built; cheap, and
-  /// they keep the knob a pure execution-path selector).
-  const vcode::CodeCache* code_cache(int id) const noexcept;
+  /// The translated form of a registered loop (always built; cheap, and it
+  /// keeps the knob a pure execution-path selector).
   const vcode::JitBackend* jit_backend(int id) const noexcept;
 
  private:
   std::vector<CompiledIlp> ilps_;
   // Parallel to ilps_: the translated loop bodies.
-  std::vector<std::unique_ptr<vcode::CodeCache>> caches_;
   std::vector<std::unique_ptr<vcode::JitBackend>> jits_;
-  vcode::Backend backend_ = vcode::Backend::CodeCache;
+  vcode::Backend backend_ = vcode::Backend::Jit;
 };
 
 }  // namespace ash::dilp

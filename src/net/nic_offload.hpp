@@ -15,7 +15,7 @@
 //    slow handler run does not head-of-line-block its queue.
 //
 //  * a NIC cost model distinct from the host's — the unit runs the same
-//    verified VCODE (all three backends: interp, CodeCache, JIT), so the
+//    verified VCODE (both backends: interp and JIT), so the
 //    handler's simulated execution cycles come from the one shared cycle
 //    model; the NIC then charges those cycles scaled by its clock ratio,
 //    plus a per-message dispatch overhead. What the device does NOT pay

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "vcode/codecache.hpp"
 #include "vcode/verifier.hpp"
 
 namespace ash::sandbox {
@@ -212,7 +211,6 @@ std::optional<SandboxResult> sandbox(const Program& prog, const Options& opts,
   }
   rewritten.sandboxed = true;
   report.final_insns = static_cast<std::uint32_t>(rewritten.insns.size());
-  report.basic_blocks = vcode::count_basic_blocks(rewritten);
   report.jump_map_entries =
       static_cast<std::uint32_t>(rewritten.indirect_map.size());
   return result;

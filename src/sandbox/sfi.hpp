@@ -69,10 +69,8 @@ struct Report {
   std::uint32_t budget_check_insns = 0;  // inserted Budget ops
   std::uint32_t epilogue_insns = 0;      // generic exit code
   std::uint32_t converted_signed = 0;    // Add/Sub converted
-  /// Translation-stage metadata for the rewritten program: how many basic
-  /// blocks the download-time code cache will form, and how many entries
-  /// the O(1) indirect-jump table carries.
-  std::uint32_t basic_blocks = 0;
+  /// Translation-stage metadata for the rewritten program: how many
+  /// entries the O(1) indirect-jump table carries.
   std::uint32_t jump_map_entries = 0;
 
   std::uint32_t added() const noexcept { return final_insns - original_insns; }

@@ -201,8 +201,7 @@ std::string format_trace(const Tracer& t, const FormatOptions& opts) {
 std::string format_metrics(const Tracer& t) {
   std::string out;
   out += "== engines ==\n";
-  static const Engine kEngines[] = {Engine::Interp, Engine::CodeCache,
-                                    Engine::Jit};
+  static const Engine kEngines[] = {Engine::Interp, Engine::Jit};
   for (const Engine e : kEngines) {
     const EngineMetrics& m = t.engine_metrics(e);
     appendf(out, "%-10s runs=%-8" PRIu64 " insns=%-10" PRIu64
@@ -284,8 +283,7 @@ std::string format_metrics(const Tracer& t) {
 std::string metrics_json(const Tracer& t) {
   std::string out = "{";
   out += "\"engines\":{";
-  static const Engine kEngines[] = {Engine::Interp, Engine::CodeCache,
-                                    Engine::Jit};
+  static const Engine kEngines[] = {Engine::Interp, Engine::Jit};
   for (std::size_t i = 0; i < std::size(kEngines); ++i) {
     const EngineMetrics& m = t.engine_metrics(kEngines[i]);
     appendf(out,

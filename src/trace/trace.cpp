@@ -35,7 +35,6 @@ const char* to_string(Engine e) noexcept {
   switch (e) {
     case Engine::None: return "-";
     case Engine::Interp: return "interp";
-    case Engine::CodeCache: return "codecache";
     case Engine::Jit: return "jit";
   }
   return "?";

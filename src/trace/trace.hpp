@@ -86,8 +86,8 @@ inline constexpr std::size_t kEventTypeCount =
 const char* to_string(EventType t) noexcept;
 
 /// Which engine produced a VcodeExec event.
-enum class Engine : std::uint8_t { None, Interp, CodeCache, Jit };
-inline constexpr std::size_t kEngineCount = 4;
+enum class Engine : std::uint8_t { None, Interp, Jit };
+inline constexpr std::size_t kEngineCount = 3;
 const char* to_string(Engine e) noexcept;
 
 /// FrameArrival / DemuxDecision / UpcallFallback source device.
@@ -236,7 +236,7 @@ class Tracer {
   std::int32_t max_ash_slot() const noexcept { return max_ash_slot_; }
   std::int32_t max_channel_slot() const noexcept { return max_chan_slot_; }
   std::int32_t max_queue_slot() const noexcept { return max_queue_slot_; }
-  /// Per-engine execution totals (interp vs code cache).
+  /// Per-engine execution totals (interp vs JIT).
   const EngineMetrics& engine_metrics(Engine e) const noexcept {
     return engine_m_[static_cast<std::size_t>(e)];
   }

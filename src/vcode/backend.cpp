@@ -26,10 +26,6 @@ bool backend_env_override(Backend* out) {
     *out = Backend::Interp;
     return true;
   }
-  if (s == "codecache" || s == "cache") {
-    *out = Backend::CodeCache;
-    return true;
-  }
   if (s == "jit") {
     *out = Backend::Jit;
     return true;

@@ -146,7 +146,7 @@ class Env {
 };
 
 /// O(1) indirect-jump target lookup, shared by the interpreter and the
-/// download-time code cache. Built once per program from `indirect_map`
+/// JIT. Built once per program from `indirect_map`
 /// (sandboxed: pre-sandbox address -> rewritten index) or from
 /// `indirect_targets` (unsandboxed: identity mapping). A program with
 /// neither has no legal indirect targets, so every JrChk faults.
@@ -177,7 +177,7 @@ class JumpTable {
 namespace detail {
 
 /// Non-result execution state (pc, software budget, call stack), exposed so
-/// the code cache can hand a partially executed program back to the exact
+/// the JIT can hand a partially executed program back to the exact
 /// interpreter core mid-run with bit-identical continuation semantics.
 /// Call-stack entries are original instruction indices.
 struct ResumeState {

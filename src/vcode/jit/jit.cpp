@@ -11,8 +11,8 @@
 
 namespace ash::vcode {
 
-// Everything the dispatch loop touches during a run. Flat, like the
-// CodeCache's RunCtx, so the hot state stays in host registers.
+// Everything the dispatch loop touches during a run. Flat, so the hot
+// state stays in host registers.
 struct JitBackend::RunCtx {
   std::uint32_t* regs = nullptr;
   Env* env = nullptr;
@@ -57,15 +57,15 @@ std::uint32_t as_bits(float f) noexcept {
   return bits;
 }
 
-/// [addr, addr+len) fully inside [lo, hi)? Same no-overflow form as the
-/// CodeCache; also exact for the multi-word ranges of the fused loop.
+/// [addr, addr+len) fully inside [lo, hi)? No-overflow form; also exact
+/// for the multi-word ranges of the fused loop.
 inline bool in_window(std::uint32_t addr, std::uint32_t len, std::uint32_t lo,
                       std::uint32_t hi) {
   return addr >= lo && addr < hi && hi - addr >= len;
 }
 
 /// Inlined direct-mapped cache model (sim::Cache::access semantics),
-/// bit-identical to the CodeCache's copy: read miss = penalty + tag fill;
+/// bit-identical to the interpreter's: read miss = penalty + tag fill;
 /// write = write_cost hit or miss, never a fill; counters per line.
 inline std::uint64_t fm_cycles(const Env::FastMem& fm, std::uint32_t addr,
                                std::uint32_t len, bool is_write) {
@@ -633,13 +633,12 @@ std::uint32_t jbase_cost(Op op) {
   return valid_op(static_cast<std::uint8_t>(op)) ? op_info(op).base_cycles : 0;
 }
 
-/// leader[i] = 1 iff original index i begins a superblock. Identical to
-/// the CodeCache's basic-block leaders except that the fall-through
-/// successor of a *conditional* branch is not a leader — the superblock
-/// continues through it. Unconditional transfers still end the region,
-/// and every branch/jump/call target, call return site, and translated
-/// indirect target begins one. An unchecked Jr degenerates to
-/// every-index-is-a-leader, exactly like the CodeCache.
+/// leader[i] = 1 iff original index i begins a superblock. The
+/// fall-through successor of a *conditional* branch is not a leader — the
+/// superblock continues through it. Unconditional transfers end the
+/// region, and every branch/jump/call target, call return site, and
+/// translated indirect target begins one. An unchecked Jr degenerates to
+/// every-index-is-a-leader.
 std::vector<std::uint8_t> superblock_leaders(const Program& prog) {
   const auto n = static_cast<std::uint32_t>(prog.insns.size());
   std::vector<std::uint8_t> leader(static_cast<std::size_t>(n) + 1, 0);

@@ -1,19 +1,18 @@
 // Superblock JIT backend: download-time lowering of verified VCODE into a
 // template-threaded host form.
 //
-// Where the CodeCache (src/vcode/codecache.cpp) pre-decodes one slot per
-// source instruction and hoists budget prechecks to basic-block heads, the
-// JIT lowers each program into *superblocks* — single-entry straight-line
-// regions that continue through the fall-through side of conditional
-// branches and end only at unconditional control transfers or at the next
-// leader. The emitted form is executed by a computed-goto dispatch loop
-// with:
+// This is the one translated form of a downloaded handler, built once at
+// install (the translate stage between sandbox and attach). The JIT lowers
+// each program into *superblocks* — single-entry straight-line regions
+// that continue through the fall-through side of conditional branches and
+// end only at unconditional control transfers or at the next leader. The
+// emitted form is executed by a computed-goto dispatch loop with:
 //
 //   - one hoisted budget guard per superblock (instruction count and
 //     static-cycle bound of the longest fall-through path), with the exact
 //     counters materialized lazily on exit via per-op prefix sums;
-//   - `Env::fast_mem` window checks inlined into the load/store templates
-//     (same two-window contract as the CodeCache);
+//   - `Env::fast_mem` two-window checks inlined into the load/store
+//     templates;
 //   - constant-folded guards: alignment checks on accesses whose base
 //     register is provably constant within the superblock are resolved at
 //     lowering time (folded to the unaligned-form template, or to a
@@ -26,14 +25,13 @@
 //     loop over the message that preserves the exact per-word cache-model
 //     charging and budget semantics.
 //
-// Equivalence guarantee: identical to the CodeCache's — every simulated
-// observable (outcome, insns, cycles, result, abort_code, fault_pc, final
-// registers, final memory, cache-model state) is bit-identical to
-// vcode::Interpreter on every program and limit combination. Whenever a
-// hoisted guard detects that a ceiling *may* fire inside a superblock, the
-// engine finalizes the exact machine state and hands off to
-// detail::run_core. The three-way differential harness
-// (tests/vcode_codecache_test.cpp) enforces this.
+// Equivalence guarantee: every simulated observable (outcome, insns,
+// cycles, result, abort_code, fault_pc, final registers, final memory,
+// cache-model state) is bit-identical to vcode::Interpreter on every
+// program and limit combination. Whenever a hoisted guard detects that a
+// ceiling *may* fire inside a superblock, the engine finalizes the exact
+// machine state and hands off to detail::run_core. The interp-vs-JIT
+// differential harness (tests/vcode_backend_diff_test.cpp) enforces this.
 #pragma once
 
 #include <array>
@@ -72,7 +70,7 @@ class JitBackend {
 
   /// Execute against `env` with the caller's register file (imported on
   /// entry, exported on exit). Bit-identical to Interpreter::run on the
-  /// same inputs; same contract as CodeCache::run.
+  /// same inputs.
   ExecResult run(Env& env, std::array<std::uint32_t, kNumRegs>& regs,
                  const ExecLimits& limits = {}) const;
 

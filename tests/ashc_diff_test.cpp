@@ -1,12 +1,12 @@
 // The rule compiler's contract (ISSUE 10's heart): for every rule set the
 // generator can produce, the compiled VCODE program and the reference
 // interpreter ashc::eval() make identical decisions and produce byte-equal
-// outputs — across all three execution backends, frame by frame, with the
+// outputs — on both execution backends, frame by frame, with the
 // state blob evolving in between. A second leg replays rule sets through
 // real AN2 devices with the handler NIC-resident vs host-resident and
 // asserts bit-equal delivered sets.
 //
-// 510 randomized rule sets x 3 backends here, plus the four canned
+// 510 randomized rule sets x 2 backends here, plus the four canned
 // scenarios; seeds are fixed, so a failure names the exact (seed, frame)
 // pair to minimize from.
 #include <gtest/gtest.h>
@@ -161,7 +161,6 @@ void diff_rule_set(const RuleSet& rs, const Frames& frames,
     vcode::Backend be;
     const char* name;
   } legs[] = {{vcode::Backend::Interp, "interp"},
-              {vcode::Backend::CodeCache, "codecache"},
               {vcode::Backend::Jit, "jit"}};
   for (const auto& leg : legs) {
     const LegResult got = run_backend(rs, frames, leg.be);

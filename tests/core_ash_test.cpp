@@ -13,7 +13,7 @@
 #include "sim/simulator.hpp"
 #include "util/checksum.hpp"
 #include "vcode/builder.hpp"
-#include "vcode/codecache.hpp"
+#include "vcode/jit/jit.hpp"
 
 namespace ash::core {
 namespace {
@@ -484,8 +484,8 @@ TEST(AshSystem, AshFasterThanUpcallForRemoteIncrement) {
   EXPECT_LT(ash_cycles + sim::us(10.0), upcall_cycles);
 }
 
-TEST(AshSystem, CodeCacheInlinedCacheModelBitIdentical) {
-  // The code cache inlines the node's direct-mapped cache model when the
+TEST(AshSystem, JitInlinedCacheModelBitIdentical) {
+  // The JIT inlines the node's direct-mapped cache model when the
   // environment offers it (AshEnv::fast_mem); the interpreter always goes
   // through the virtual mem_cycles hook. Run a memory-heavy handler on two
   // fresh (cold-cache) nodes, one per engine, and require identical
@@ -495,7 +495,7 @@ TEST(AshSystem, CodeCacheInlinedCacheModelBitIdentical) {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
-  const auto run_engine = [](bool use_cache) -> Run {
+  const auto run_engine = [](bool use_jit) -> Run {
     Builder bld;
     const Reg i = bld.reg(), sum = bld.reg(), v = bld.reg(), p = bld.reg(),
               lim = bld.reg();
@@ -541,13 +541,13 @@ TEST(AshSystem, CodeCacheInlinedCacheModelBitIdentical) {
     AshEnv env(ec);
 
     Run out;
-    if (use_cache) {
-      const vcode::CodeCache cache(installed);
+    if (use_jit) {
+      const vcode::JitBackend jit(installed);
       std::array<std::uint32_t, vcode::kNumRegs> regs{};
       regs[kRegArg0] = msg;
       regs[kRegArg1] = 1024;
       regs[kRegArg2] = scratch;
-      out.res = cache.run(env, regs, {});
+      out.res = jit.run(env, regs, {});
     } else {
       vcode::Interpreter interp(installed, env);
       interp.set_args(msg, 1024, scratch, 0);
@@ -559,15 +559,15 @@ TEST(AshSystem, CodeCacheInlinedCacheModelBitIdentical) {
   };
 
   const Run interp = run_engine(false);
-  const Run cached = run_engine(true);
+  const Run jit = run_engine(true);
   ASSERT_EQ(interp.res.outcome, vcode::Outcome::Halted)
       << vcode::to_string(interp.res.outcome);
-  EXPECT_EQ(cached.res.outcome, interp.res.outcome);
-  EXPECT_EQ(cached.res.insns, interp.res.insns);
-  EXPECT_EQ(cached.res.cycles, interp.res.cycles);
-  EXPECT_EQ(cached.res.result, interp.res.result);
-  EXPECT_EQ(cached.hits, interp.hits);
-  EXPECT_EQ(cached.misses, interp.misses);
+  EXPECT_EQ(jit.res.outcome, interp.res.outcome);
+  EXPECT_EQ(jit.res.insns, interp.res.insns);
+  EXPECT_EQ(jit.res.cycles, interp.res.cycles);
+  EXPECT_EQ(jit.res.result, interp.res.result);
+  EXPECT_EQ(jit.hits, interp.hits);
+  EXPECT_EQ(jit.misses, interp.misses);
   // The workload must actually exercise the model on both sides.
   EXPECT_GT(interp.hits, 0u);
   EXPECT_GT(interp.misses, 0u);

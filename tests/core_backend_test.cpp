@@ -1,8 +1,8 @@
-// Backend selection at the AshSystem level: the interp / codecache / jit
-// knob must be a pure execution-path selector. Every kernel-visible
-// observable — commit counters, abort taxonomy, fault records, simulated
-// cycles, supervisor containment decisions, owner memory — must be
-// bit-identical across all three backends.
+// Backend selection at the AshSystem level: the interp / jit knob must be
+// a pure execution-path selector. Every kernel-visible observable — commit
+// counters, abort taxonomy, fault records, simulated cycles, supervisor
+// containment decisions, owner memory — must be bit-identical on both
+// backends.
 #include "core/ash.hpp"
 
 #include <gtest/gtest.h>
@@ -150,12 +150,9 @@ Snapshot run_scenario(const vcode::Program& prog, Backend be, int n_msgs,
 void expect_backends_equivalent(const vcode::Program& prog, int n_msgs,
                                 const SupervisorConfig& sup = {}) {
   const Snapshot i = run_scenario(prog, Backend::Interp, n_msgs, sup);
-  const Snapshot c = run_scenario(prog, Backend::CodeCache, n_msgs, sup);
   const Snapshot j = run_scenario(prog, Backend::Jit, n_msgs, sup);
   EXPECT_EQ(i.backend, Backend::Interp);
-  EXPECT_EQ(c.backend, Backend::CodeCache);
   EXPECT_EQ(j.backend, Backend::Jit);
-  expect_equivalent(i, c, "codecache-vs-interp");
   expect_equivalent(i, j, "jit-vs-interp");
 }
 
@@ -241,32 +238,35 @@ TEST(BackendEquivalence, DivideByZeroFaultPinned) {
 }
 
 TEST(BackendSelection, EnvVarOverridesDownloadOptions) {
-  ::setenv("ASH_BACKEND", "jit", 1);
+  ::setenv("ASH_BACKEND", "interp", 1);
   AshWorld w;
   w.b->kernel().spawn("owner", [&](Process& self) -> Task {
     std::string error;
     const int id = w.ash_b->download(self, increment_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    EXPECT_EQ(w.ash_b->backend(id), Backend::Jit);
-    EXPECT_NE(w.ash_b->jit_backend(id), nullptr);
-    EXPECT_EQ(w.ash_b->code_cache(id), nullptr);
+    EXPECT_EQ(w.ash_b->backend(id), Backend::Interp);
+    EXPECT_EQ(w.ash_b->jit_backend(id), nullptr);
+    EXPECT_EQ(w.ash_b->backend_stats(id).translations, 0u);
     co_await self.compute(1);
   });
   w.sim.run();
   ::unsetenv("ASH_BACKEND");
 
-  // And the explicit option still works without the env var.
+  // Without the env var the default is the JIT, and the retired CodeCache
+  // enumerator resolves to it as well.
   AshWorld w2;
   w2.b->kernel().spawn("owner", [&](Process& self) -> Task {
     std::string error;
-    AshOptions opts;
-    opts.backend = Backend::Interp;
-    const int id = w2.ash_b->download(self, increment_ash(), opts, &error);
+    const int id = w2.ash_b->download(self, increment_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    EXPECT_EQ(w2.ash_b->backend(id), Backend::Interp);
-    EXPECT_EQ(w2.ash_b->jit_backend(id), nullptr);
-    EXPECT_EQ(w2.ash_b->code_cache(id), nullptr);
-    EXPECT_EQ(w2.ash_b->backend_stats(id).translations, 0u);
+    EXPECT_EQ(w2.ash_b->backend(id), Backend::Jit);
+    EXPECT_NE(w2.ash_b->jit_backend(id), nullptr);
+    AshOptions opts;
+    opts.backend = Backend::CodeCache;
+    const int retired = w2.ash_b->download(self, increment_ash(), opts, &error);
+    EXPECT_GE(retired, 0) << error;
+    EXPECT_EQ(w2.ash_b->backend(retired), Backend::Jit);
+    EXPECT_EQ(w2.ash_b->backend_stats(retired).translations, 1u);
     co_await self.compute(1);
   });
   w2.sim.run();

@@ -64,8 +64,8 @@ elseif(MODE STREQUAL "rules")
 elseif(MODE STREQUAL "rules-json")
   set(cmd rules kv --json)
 elseif(MODE STREQUAL "dump-translated")
-  # Both translated forms of the sandboxed image: the threaded codecache
-  # listing and the superblock JIT CFG + emitted-form listing.
+  # The translated form of the sandboxed image: the superblock JIT CFG +
+  # emitted-form listing.
   set(image_sb "remote-increment-sb.ashv")
   execute_process(
     COMMAND "${ASHTOOL}" sandbox ${image} ${image_sb}

@@ -194,7 +194,7 @@ TEST(Tracer, AggregatesEveryEventClass) {
   t.emit(make_event(EventType::AshDispatch, 0, 3, 1, 64, 3));
   {
     Event ev = make_event(EventType::VcodeExec, 0, 4, 1, 0, 0, 200, 40);
-    ev.engine = Engine::CodeCache;
+    ev.engine = Engine::Jit;
     t.emit(ev);
   }
   t.emit(make_event(EventType::AshOutcome, 0, 5, 1, 0, 1, 320, 40));
@@ -238,7 +238,7 @@ TEST(Tracer, AggregatesEveryEventClass) {
   // DilpRun rode along too.
   EXPECT_EQ(m.exec_cycles.count(), 2u);
 
-  const EngineMetrics& e = t.engine_metrics(Engine::CodeCache);
+  const EngineMetrics& e = t.engine_metrics(Engine::Jit);
   EXPECT_EQ(e.runs, 1u);
   EXPECT_EQ(e.insns, 40u);
   EXPECT_EQ(e.cycles, 200u);
@@ -290,7 +290,7 @@ TEST(TraceFormat, EnumNames) {
   EXPECT_STREQ(to_string(EventType::SupervisorAction), "SupervisorAction");
   EXPECT_STREQ(to_string(Engine::None), "-");
   EXPECT_STREQ(to_string(Engine::Interp), "interp");
-  EXPECT_STREQ(to_string(Engine::CodeCache), "codecache");
+  EXPECT_STREQ(to_string(Engine::Jit), "jit");
   EXPECT_STREQ(to_string(DenyReason::Quarantined), "quarantined");
   EXPECT_STREQ(to_string(DenyReason::BadId), "bad-id");
   EXPECT_STREQ(to_string(SupAction::Revoke), "revoke");

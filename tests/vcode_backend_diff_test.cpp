@@ -1,11 +1,11 @@
-// Differential execution: the download-time translated engines — the
-// pre-decoded code cache and the superblock JIT — must be bit-identical
-// to the interpreter (outcome, insns, cycles, result, abort_code,
-// fault_pc, final registers, and final memory) on random verified
-// programs (sandboxed and unsandboxed) and on handcrafted edge cases
-// around fused pairs, hoisted budget checks, and indirect jumps. Every
-// sweep is a three-way interp/codecache/jit cross-check, including
-// engine-tagged trace-event equivalence.
+// Differential execution: the download-time translated form — the
+// superblock JIT — must be bit-identical to the reference interpreter
+// (outcome, insns, cycles, result, abort_code, fault_pc, final registers,
+// and final memory) on random verified programs (sandboxed and
+// unsandboxed) and on handcrafted edge cases around adjacent ALU+memory /
+// compare+branch pairs, hoisted budget checks, and indirect jumps. Every
+// sweep is an interp-vs-JIT cross-check, including engine-tagged
+// trace-event equivalence.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,7 +15,6 @@
 #include "sandbox/sfi.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
 #include "vcode/program.hpp"
@@ -59,8 +58,8 @@ class DiffEnv : public Env {
                            bool is_write) override {
     return ((addr * 2654435761u) >> 28 & 7u) + len / 4 + (is_write ? 1 : 0);
   }
-  // Offered on half the differential runs so the cache engine is diffed
-  // against the interpreter on both its direct and its virtual memory path.
+  // Offered on half the differential runs so the JIT is diffed against
+  // the interpreter on both its direct and its virtual memory path.
   bool fast_mem(FastMem* out) override {
     if (!offer_fast_mem_) return false;
     out->mem = mem_.data();
@@ -150,9 +149,8 @@ void expect_one_exec_event(const std::vector<ash::trace::Event>& ev,
   ASSERT_EQ(e.cycles, r.cycles) << tag;
 }
 
-/// Run `prog` through all three engines with identical seeds and compare
-/// every observable. `tag` makes failures attributable to a seed/limit
-/// combo.
+/// Run `prog` through both engines with identical seeds and compare every
+/// observable. `tag` makes failures attributable to a seed/limit combo.
 void expect_identical(const Program& prog,
                       const std::array<std::uint32_t, kNumRegs>& seeds,
                       const ExecLimits& limits, std::uint64_t env_seed,
@@ -168,16 +166,6 @@ void expect_identical(const Program& prog,
   if (ash::trace::enabled()) ev_a = ash::trace::global().all_events();
 
   if (ash::trace::enabled()) ash::trace::global().clear();
-  DiffEnv env_b(env_seed);
-  env_b.set_offer_fast_mem(env_seed % 2 == 0);
-  CodeCache cache(prog);
-  std::array<std::uint32_t, kNumRegs> regs = seeds;
-  regs[kRegZero] = 0;
-  const ExecResult b = cache.run(env_b, regs, limits);
-  std::vector<ash::trace::Event> ev_b;
-  if (ash::trace::enabled()) ev_b = ash::trace::global().all_events();
-
-  if (ash::trace::enabled()) ash::trace::global().clear();
   DiffEnv env_j(env_seed);
   env_j.set_offer_fast_mem(env_seed % 2 == 0);
   JitBackend jit(prog);
@@ -187,38 +175,42 @@ void expect_identical(const Program& prog,
   std::vector<ash::trace::Event> ev_j;
   if (ash::trace::enabled()) ev_j = ash::trace::global().all_events();
 
-  ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(b.outcome))
-      << tag << " interp=" << to_string(a.outcome)
-      << " cache=" << to_string(b.outcome);
-  ASSERT_EQ(a.insns, b.insns) << tag;
-  ASSERT_EQ(a.cycles, b.cycles) << tag;
-  ASSERT_EQ(a.result, b.result) << tag;
-  ASSERT_EQ(a.abort_code, b.abort_code) << tag;
-  ASSERT_EQ(a.fault_pc, b.fault_pc) << tag;
   ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(j.outcome))
       << tag << " interp=" << to_string(a.outcome)
       << " jit=" << to_string(j.outcome);
-  ASSERT_EQ(a.insns, j.insns) << tag << " jit";
-  ASSERT_EQ(a.cycles, j.cycles) << tag << " jit";
-  ASSERT_EQ(a.result, j.result) << tag << " jit";
-  ASSERT_EQ(a.abort_code, j.abort_code) << tag << " jit";
-  ASSERT_EQ(a.fault_pc, j.fault_pc) << tag << " jit";
+  ASSERT_EQ(a.insns, j.insns) << tag;
+  ASSERT_EQ(a.cycles, j.cycles) << tag;
+  ASSERT_EQ(a.result, j.result) << tag;
+  ASSERT_EQ(a.abort_code, j.abort_code) << tag;
+  ASSERT_EQ(a.fault_pc, j.fault_pc) << tag;
   for (std::uint32_t r = 0; r < kNumRegs; ++r) {
-    ASSERT_EQ(interp.reg(static_cast<Reg>(r)), regs[r])
-        << tag << " register r" << r;
     ASSERT_EQ(interp.reg(static_cast<Reg>(r)), jregs[r])
-        << tag << " jit register r" << r;
+        << tag << " register r" << r;
   }
-  ASSERT_EQ(env_a.memory(), env_b.memory()) << tag;
-  ASSERT_EQ(env_a.memory(), env_j.memory()) << tag << " jit";
+  ASSERT_EQ(env_a.memory(), env_j.memory()) << tag;
 
-  // With the tracer on, the three engine-tagged event streams must be
+  // With the tracer on, the two engine-tagged event streams must be
   // semantically equivalent: the only difference is the engine tag.
   if (ash::trace::enabled()) {
     expect_one_exec_event(ev_a, ash::trace::Engine::Interp, a, tag);
-    expect_one_exec_event(ev_b, ash::trace::Engine::CodeCache, b, tag);
     expect_one_exec_event(ev_j, ash::trace::Engine::Jit, j, tag);
   }
+}
+
+/// Interpreter and JIT results of `prog` run from zeroed registers against
+/// identically seeded environments.
+struct Pair {
+  ExecResult interp;
+  ExecResult jit;
+};
+
+Pair run_both(const Program& prog, std::uint64_t env_seed) {
+  DiffEnv env_a(env_seed);
+  Interpreter interp(prog, env_a);
+  DiffEnv env_j(env_seed);
+  JitBackend jit(prog);
+  std::array<std::uint32_t, kNumRegs> jregs{};
+  return {interp.run({}), jit.run(env_j, jregs, {})};
 }
 
 /// Random verified program over registers r0..r20 (sandbox-compatible).
@@ -264,7 +256,7 @@ Program random_program(util::Rng& rng) {
                                    Op::Bgeu, Op::Blt, Op::Bge};
       in.op = kBr[rng.below(std::size(kBr))];
       in.a = reg();
-      in.b = rng.chance(1, 3) ? 0 : reg();  // r0 compares feed fusion
+      in.b = rng.chance(1, 3) ? 0 : reg();  // r0 compares fold cheaply
       in.imm = static_cast<std::uint32_t>(rng.below(n));
     } else if (pick < 63) {
       in.op = Op::Jmp;
@@ -329,7 +321,7 @@ Program random_program(util::Rng& rng) {
   return prog;
 }
 
-TEST(CodeCacheDifferential, RandomProgramsMatchInterpreter) {
+TEST(BackendDifferential, RandomProgramsMatchInterpreter) {
   // The whole 1200-program sweep runs with the tracer recording: every
   // expect_identical also checks bit-identical results are reported
   // through semantically equivalent engine-tagged event streams.
@@ -383,10 +375,11 @@ TEST(CodeCacheDifferential, RandomProgramsMatchInterpreter) {
   EXPECT_GE(programs_run, 1200);
 }
 
-// Sweep every instruction/cycle ceiling across a program holding all three
-// fusion families plus a dynamic-cost trusted call, so the budget ceiling
-// lands exactly on superinstruction and basic-block boundaries.
-TEST(CodeCacheDifferential, BudgetBoundarySweep) {
+// Sweep every instruction/cycle ceiling across a program holding adjacent
+// mask+store, add+load, and compare+branch pairs plus a dynamic-cost
+// trusted call, so the budget ceiling lands on every instruction of the
+// pairs and on every superblock boundary.
+TEST(BackendDifferential, BudgetBoundarySweep) {
   Program prog;
   auto add = [&](Op op, std::uint8_t a, std::uint8_t b, std::uint8_t c,
                  std::uint32_t imm) {
@@ -394,11 +387,11 @@ TEST(CodeCacheDifferential, BudgetBoundarySweep) {
   };
   add(Op::Movi, 5, 0, 0, 0x8000);
   add(Op::Movi, 6, 0, 0, 0xABCD);
-  add(Op::Andi, 7, 5, 0, 0xFFFC);    // fused with the Sw below
+  add(Op::Andi, 7, 5, 0, 0xFFFC);    // mask+store pair
   add(Op::Sw, 6, 7, 0, 0);
-  add(Op::Addiu, 7, 7, 0, 4);        // fused with the Lw below
+  add(Op::Addiu, 7, 7, 0, 4);        // add+load pair
   add(Op::Lw, 8, 7, 0, 0);
-  add(Op::Sltu, 9, 8, 6, 0);         // fused with the Bne below
+  add(Op::Sltu, 9, 8, 6, 0);         // compare+branch pair
   add(Op::Bne, 9, 0, 0, 9);
   add(Op::Nop, 0, 0, 0, 0);
   add(Op::TMsgLen, 10, 0, 0, 0);     // dynamic trusted cycles
@@ -417,41 +410,30 @@ TEST(CodeCacheDifferential, BudgetBoundarySweep) {
       Interpreter interp(prog, env_a);
       const ExecResult a = interp.run(lim);
 
-      DiffEnv env_b(1, /*base=*/0, /*size=*/0x10000);
-      CodeCache cache(prog);
-      std::array<std::uint32_t, kNumRegs> regs = seeds;
-      const ExecResult b = cache.run(env_b, regs, lim);
-
       DiffEnv env_j(1, /*base=*/0, /*size=*/0x10000);
       JitBackend jit(prog);
       std::array<std::uint32_t, kNumRegs> jregs = seeds;
       const ExecResult j = jit.run(env_j, jregs, lim);
 
-      ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(b.outcome))
-          << "insns=" << max_insns << " cycles=" << max_cycles;
-      ASSERT_EQ(a.insns, b.insns) << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.cycles, b.cycles) << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.fault_pc, b.fault_pc) << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.result, b.result) << max_insns << "/" << max_cycles;
       ASSERT_EQ(static_cast<int>(a.outcome), static_cast<int>(j.outcome))
-          << "jit insns=" << max_insns << " cycles=" << max_cycles;
-      ASSERT_EQ(a.insns, j.insns) << "jit " << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.cycles, j.cycles) << "jit " << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.fault_pc, j.fault_pc)
-          << "jit " << max_insns << "/" << max_cycles;
-      ASSERT_EQ(a.result, j.result) << "jit " << max_insns << "/" << max_cycles;
+          << "insns=" << max_insns << " cycles=" << max_cycles;
+      ASSERT_EQ(a.insns, j.insns) << max_insns << "/" << max_cycles;
+      ASSERT_EQ(a.cycles, j.cycles) << max_insns << "/" << max_cycles;
+      ASSERT_EQ(a.fault_pc, j.fault_pc) << max_insns << "/" << max_cycles;
+      ASSERT_EQ(a.result, j.result) << max_insns << "/" << max_cycles;
       for (std::uint32_t r = 0; r < kNumRegs; ++r) {
-        ASSERT_EQ(interp.reg(static_cast<Reg>(r)), regs[r]) << "r" << r;
-        ASSERT_EQ(interp.reg(static_cast<Reg>(r)), jregs[r]) << "jit r" << r;
+        ASSERT_EQ(interp.reg(static_cast<Reg>(r)), jregs[r]) << "r" << r;
       }
     }
   }
-  // The program really does fuse all three families.
-  CodeCache cache(prog);
-  EXPECT_EQ(cache.fused_count(), 3u);
+  // The conditional branch does not end the region, so the program is two
+  // superblocks: @0 through the fall-through side of the Bne, and the
+  // branch target @9.
+  JitBackend jit(prog);
+  EXPECT_EQ(jit.superblock_count(), 2u);
 }
 
-TEST(CodeCacheDifferential, JrChkUnmappedTargetFaults) {
+TEST(BackendDifferential, JrChkUnmappedTargetFaults) {
   Program prog;
   prog.insns.push_back({Op::Movi, 5, 0, 0, 7});
   prog.insns.push_back({Op::JrChk, 5, 0, 0, 0});
@@ -459,104 +441,54 @@ TEST(CodeCacheDifferential, JrChkUnmappedTargetFaults) {
   prog.indirect_map = {{3, 2}};
   prog.sandboxed = true;
 
-  DiffEnv env_a(2);
-  Interpreter interp(prog, env_a);
-  const ExecResult a = interp.run({});
-
-  DiffEnv env_b(2);
-  CodeCache cache(prog);
-  std::array<std::uint32_t, kNumRegs> regs{};
-  const ExecResult b = cache.run(env_b, regs, {});
-
-  DiffEnv env_jit(2);
-  JitBackend jit(prog);
-  std::array<std::uint32_t, kNumRegs> jregs{};
-  const ExecResult j = jit.run(env_jit, jregs, {});
-
-  EXPECT_EQ(a.outcome, Outcome::IndirectJumpFault);
-  EXPECT_EQ(b.outcome, Outcome::IndirectJumpFault);
-  EXPECT_EQ(j.outcome, Outcome::IndirectJumpFault);
-  EXPECT_EQ(a.fault_pc, 1u);
-  EXPECT_EQ(b.fault_pc, 1u);
-  EXPECT_EQ(j.fault_pc, 1u);
-  EXPECT_EQ(a.insns, b.insns);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.insns, j.insns);
-  EXPECT_EQ(a.cycles, j.cycles);
+  const Pair p = run_both(prog, 2);
+  EXPECT_EQ(p.interp.outcome, Outcome::IndirectJumpFault);
+  EXPECT_EQ(p.jit.outcome, Outcome::IndirectJumpFault);
+  EXPECT_EQ(p.interp.fault_pc, 1u);
+  EXPECT_EQ(p.jit.fault_pc, 1u);
+  EXPECT_EQ(p.interp.insns, p.jit.insns);
+  EXPECT_EQ(p.interp.cycles, p.jit.cycles);
 
   // Mapped variant lands, including through the sparse (out-of-dense-range)
   // side of the shared jump table.
   Program mapped = prog;
   mapped.indirect_map = {{7, 2}};
-  DiffEnv env_c(2);
-  Interpreter interp2(mapped, env_c);
-  EXPECT_EQ(interp2.run({}).outcome, Outcome::Halted);
-  DiffEnv env_d(2);
-  CodeCache cache2(mapped);
-  std::array<std::uint32_t, kNumRegs> regs2{};
-  EXPECT_EQ(cache2.run(env_d, regs2, {}).outcome, Outcome::Halted);
+  const Pair pm = run_both(mapped, 2);
+  EXPECT_EQ(pm.interp.outcome, Outcome::Halted);
+  EXPECT_EQ(pm.jit.outcome, Outcome::Halted);
 
   Program sparse = prog;
   const std::uint32_t big = static_cast<std::uint32_t>(kMaxProgramLen) + 123;
   sparse.insns[0].imm = big;
   sparse.indirect_map = {{big, 2}};
-  DiffEnv env_e(2);
-  Interpreter interp3(sparse, env_e);
-  EXPECT_EQ(interp3.run({}).outcome, Outcome::Halted);
-  DiffEnv env_f(2);
-  CodeCache cache3(sparse);
-  std::array<std::uint32_t, kNumRegs> regs3{};
-  EXPECT_EQ(cache3.run(env_f, regs3, {}).outcome, Outcome::Halted);
-
-  DiffEnv env_g(2);
-  JitBackend jit2(mapped);
-  std::array<std::uint32_t, kNumRegs> jregs2{};
-  EXPECT_EQ(jit2.run(env_g, jregs2, {}).outcome, Outcome::Halted);
-  DiffEnv env_h(2);
-  JitBackend jit3(sparse);
-  std::array<std::uint32_t, kNumRegs> jregs3{};
-  EXPECT_EQ(jit3.run(env_h, jregs3, {}).outcome, Outcome::Halted);
+  const Pair ps = run_both(sparse, 2);
+  EXPECT_EQ(ps.interp.outcome, Outcome::Halted);
+  EXPECT_EQ(ps.jit.outcome, Outcome::Halted);
 }
 
-TEST(CodeCacheDifferential, FaultInsideFusedPairReportsSecondHalf) {
-  // Andi+Sw fuse; the store's address is outside every segment, so the
-  // fault must surface at the store's own pc with both halves counted.
+TEST(BackendDifferential, FaultInsideFusedPairReportsSecondHalf) {
+  // Andi+Sw mask+store pair; the store's address is outside every
+  // segment, so the fault must surface at the store's own pc with both
+  // halves counted.
   Program prog;
   prog.insns.push_back({Op::Movi, 5, 0, 0, 0xdead0000});
   prog.insns.push_back({Op::Andi, 6, 5, 0, 0xFFFF0000});
   prog.insns.push_back({Op::Sw, 5, 6, 0, 0});
   prog.insns.push_back({Op::Halt, 0, 0, 0, 0});
 
-  DiffEnv env_a(3);
-  Interpreter interp(prog, env_a);
-  const ExecResult a = interp.run({});
-
-  DiffEnv env_b(3);
-  CodeCache cache(prog);
-  std::array<std::uint32_t, kNumRegs> regs{};
-  const ExecResult b = cache.run(env_b, regs, {});
-
-  DiffEnv env_j(3);
-  JitBackend jit(prog);
-  std::array<std::uint32_t, kNumRegs> jregs{};
-  const ExecResult j = jit.run(env_j, jregs, {});
-
-  EXPECT_EQ(cache.fused_count(), 1u);
-  EXPECT_EQ(a.outcome, Outcome::MemFault);
-  EXPECT_EQ(b.outcome, Outcome::MemFault);
-  EXPECT_EQ(j.outcome, Outcome::MemFault);
-  EXPECT_EQ(a.fault_pc, 2u);
-  EXPECT_EQ(b.fault_pc, 2u);
-  EXPECT_EQ(j.fault_pc, 2u);
-  EXPECT_EQ(a.insns, 3u);
-  EXPECT_EQ(b.insns, 3u);
-  EXPECT_EQ(j.insns, 3u);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.cycles, j.cycles);
+  const Pair p = run_both(prog, 3);
+  EXPECT_EQ(p.interp.outcome, Outcome::MemFault);
+  EXPECT_EQ(p.jit.outcome, Outcome::MemFault);
+  EXPECT_EQ(p.interp.fault_pc, 2u);
+  EXPECT_EQ(p.jit.fault_pc, 2u);
+  EXPECT_EQ(p.interp.insns, 3u);
+  EXPECT_EQ(p.jit.insns, 3u);
+  EXPECT_EQ(p.interp.cycles, p.jit.cycles);
 }
 
-TEST(CodeCacheDifferential, AbortReachedThroughFusedBranch) {
-  // Sltu+Bne fuse; the taken branch lands on an Abort in another block.
+TEST(BackendDifferential, AbortReachedThroughFusedBranch) {
+  // Sltu+Bne compare+branch pair; the taken branch lands on an Abort in
+  // another superblock.
   Program prog;
   prog.insns.push_back({Op::Movi, 5, 0, 0, 1});
   prog.insns.push_back({Op::Movi, 6, 0, 0, 2});
@@ -565,63 +497,15 @@ TEST(CodeCacheDifferential, AbortReachedThroughFusedBranch) {
   prog.insns.push_back({Op::Halt, 0, 0, 0, 0});
   prog.insns.push_back({Op::Abort, 0, 0, 0, 77});
 
-  DiffEnv env_a(4);
-  Interpreter interp(prog, env_a);
-  const ExecResult a = interp.run({});
-
-  DiffEnv env_b(4);
-  CodeCache cache(prog);
-  std::array<std::uint32_t, kNumRegs> regs{};
-  const ExecResult b = cache.run(env_b, regs, {});
-
-  DiffEnv env_j(4);
-  JitBackend jit(prog);
-  std::array<std::uint32_t, kNumRegs> jregs{};
-  const ExecResult j = jit.run(env_j, jregs, {});
-
-  EXPECT_EQ(cache.fused_count(), 1u);
-  EXPECT_EQ(a.outcome, Outcome::VoluntaryAbort);
-  EXPECT_EQ(b.outcome, Outcome::VoluntaryAbort);
-  EXPECT_EQ(j.outcome, Outcome::VoluntaryAbort);
-  EXPECT_EQ(a.abort_code, 77u);
-  EXPECT_EQ(b.abort_code, 77u);
-  EXPECT_EQ(j.abort_code, 77u);
-  EXPECT_EQ(a.fault_pc, 5u);
-  EXPECT_EQ(b.fault_pc, 5u);
-  EXPECT_EQ(j.fault_pc, 5u);
-  EXPECT_EQ(a.insns, b.insns);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.insns, j.insns);
-  EXPECT_EQ(a.cycles, j.cycles);
-}
-
-TEST(CodeCacheTranslation, DumpShowsBlocksAndFusions) {
-  Program prog;
-  prog.insns.push_back({Op::Andi, 6, 5, 0, 0xFFFC});
-  prog.insns.push_back({Op::Lw, 7, 6, 0, 0});
-  prog.insns.push_back({Op::Halt, 0, 0, 0, 0});
-  CodeCache cache(prog);
-  const std::string d = cache.dump();
-  EXPECT_NE(d.find("block @0"), std::string::npos);
-  EXPECT_NE(d.find("fuse[alu+mem]"), std::string::npos);
-  EXPECT_NE(d.find("codecache:"), std::string::npos);
-  EXPECT_EQ(cache.block_count(), count_basic_blocks(prog));
-}
-
-TEST(CodeCacheTranslation, RunCountTracksExecutions) {
-  Program prog;
-  prog.insns.push_back({Op::Movi, 5, 0, 0, 7});
-  prog.insns.push_back({Op::Halt, 0, 0, 0, 0});
-  CodeCache cache(prog);
-  EXPECT_EQ(cache.run_count(), 0u);
-  std::array<std::uint32_t, kNumRegs> regs{};
-  DiffEnv env(1);
-  for (int i = 0; i < 3; ++i) {
-    regs.fill(0);
-    const ExecResult r = cache.run(env, regs);
-    EXPECT_EQ(r.outcome, Outcome::Halted);
-  }
-  EXPECT_EQ(cache.run_count(), 3u);
+  const Pair p = run_both(prog, 4);
+  EXPECT_EQ(p.interp.outcome, Outcome::VoluntaryAbort);
+  EXPECT_EQ(p.jit.outcome, Outcome::VoluntaryAbort);
+  EXPECT_EQ(p.interp.abort_code, 77u);
+  EXPECT_EQ(p.jit.abort_code, 77u);
+  EXPECT_EQ(p.interp.fault_pc, 5u);
+  EXPECT_EQ(p.jit.fault_pc, 5u);
+  EXPECT_EQ(p.interp.insns, p.jit.insns);
+  EXPECT_EQ(p.interp.cycles, p.jit.cycles);
 }
 
 }  // namespace

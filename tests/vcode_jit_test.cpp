@@ -19,7 +19,6 @@
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "vcode/backend.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
 #include "vcode/program.hpp"
@@ -112,7 +111,7 @@ ExecResult expect_jit_matches_interp(
 TEST(JitTranslation, SuperblocksContinueThroughConditionalBranches) {
   // A conditional branch does NOT end a superblock on its fall-through
   // side — the region continues straight through — so the lowering forms
-  // fewer regions than the code cache's basic blocks.
+  // fewer regions than the program has basic blocks (@0..1, @2..3, @4).
   Program prog;
   prog.insns.push_back({Op::Movi, 5, 0, 0, 1});
   prog.insns.push_back({Op::Bne, 5, 0, 0, 4});
@@ -121,8 +120,7 @@ TEST(JitTranslation, SuperblocksContinueThroughConditionalBranches) {
   prog.insns.push_back({Op::Abort, 0, 0, 0, 9});
 
   JitBackend jit(prog);
-  EXPECT_EQ(jit.superblock_count(), 2u);           // @0..3 and @4
-  EXPECT_EQ(count_basic_blocks(prog), 3u);         // cache splits at @2 too
+  EXPECT_EQ(jit.superblock_count(), 2u);  // @0..3 and @4
 
   const std::string d = jit.dump();
   EXPECT_NE(d.find("superblock @0: len=4"), std::string::npos) << d;
@@ -253,11 +251,6 @@ TEST(JitFusedLoop, MatchesDilpCompiledChainExactly) {
   const auto ri = run_with(vcode::Backend::Interp, env_i, &pers_i);
   ASSERT_TRUE(ri.ok());
 
-  FlatEnv env_c;
-  std::vector<std::uint32_t> pers_c;
-  const auto rc = run_with(vcode::Backend::CodeCache, env_c, &pers_c);
-  ASSERT_TRUE(rc.ok());
-
   FlatEnv env_j;
   std::vector<std::uint32_t> pers_j;
   const auto rj = run_with(vcode::Backend::Jit, env_j, &pers_j);
@@ -265,12 +258,8 @@ TEST(JitFusedLoop, MatchesDilpCompiledChainExactly) {
 
   EXPECT_EQ(ri.exec.cycles, rj.exec.cycles);
   EXPECT_EQ(ri.exec.insns, rj.exec.insns);
-  EXPECT_EQ(ri.exec.cycles, rc.exec.cycles);
-  EXPECT_EQ(ri.exec.insns, rc.exec.insns);
   EXPECT_EQ(env_i.memory(), env_j.memory());
-  EXPECT_EQ(env_i.memory(), env_c.memory());
   EXPECT_EQ(pers_i, pers_j);
-  EXPECT_EQ(pers_i, pers_c);
 
   // And the transform is the right one: checksum over raw words, output
   // byteswapped.
@@ -417,6 +406,7 @@ TEST(JitStats, UniformBackendStatsSurface) {
   EXPECT_EQ(s.runs, 0u);
   EXPECT_EQ(s.translations, 1u);
   EXPECT_EQ(s.superblocks, jit.superblock_count());
+  EXPECT_EQ(s.superblocks, 1u);
   EXPECT_GT(s.emitted_bytes, 0u);
 
   FlatEnv env;
@@ -426,35 +416,26 @@ TEST(JitStats, UniformBackendStatsSurface) {
   }
   EXPECT_EQ(jit.run_count(), 3u);
   EXPECT_EQ(jit.stats().runs, 3u);
-
-  CodeCache cache(prog);
-  const BackendStats cs = cache.stats();
-  EXPECT_EQ(cs.backend, Backend::CodeCache);
-  EXPECT_EQ(cs.translations, 1u);
-  EXPECT_EQ(cs.superblocks, cache.block_count());
-  EXPECT_GT(cs.emitted_bytes, 0u);
 }
 
 TEST(JitStats, BackendEnvOverrideParsesKnownNames) {
-  Backend be = Backend::CodeCache;
+  Backend be = Backend::Interp;
   ::setenv("ASH_BACKEND", "jit", 1);
   EXPECT_TRUE(backend_env_override(&be));
   EXPECT_EQ(be, Backend::Jit);
   ::setenv("ASH_BACKEND", "INTERP", 1);
   EXPECT_TRUE(backend_env_override(&be));
   EXPECT_EQ(be, Backend::Interp);
-  ::setenv("ASH_BACKEND", "codecache", 1);
-  EXPECT_TRUE(backend_env_override(&be));
-  EXPECT_EQ(be, Backend::CodeCache);
   be = Backend::Jit;
-  ::setenv("ASH_BACKEND", "warp-drive", 1);
-  EXPECT_FALSE(backend_env_override(&be));
-  EXPECT_EQ(be, Backend::Jit);  // unknown value leaves *out untouched
+  for (const char* retired_or_unknown : {"codecache", "warp-drive"}) {
+    ::setenv("ASH_BACKEND", retired_or_unknown, 1);
+    EXPECT_FALSE(backend_env_override(&be)) << retired_or_unknown;
+    EXPECT_EQ(be, Backend::Jit);  // unknown value leaves *out untouched
+  }
   ::unsetenv("ASH_BACKEND");
   EXPECT_FALSE(backend_env_override(&be));
   EXPECT_STREQ(to_string(Backend::Jit), "jit");
   EXPECT_STREQ(to_string(Backend::Interp), "interp");
-  EXPECT_STREQ(to_string(Backend::CodeCache), "codecache");
 }
 
 }  // namespace

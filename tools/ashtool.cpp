@@ -8,13 +8,11 @@
 //                                         SFI-rewrite an image (defaults:
 //                                         base 0x100000, size 0x100000)
 //   ashtool run <file> [a0 a1 a2 a3]      execute in a 1 MB flat memory
-//   ashtool dump-translated <file>        print both download-time
-//                                         translated forms: the pre-decoded
-//                                         threaded form (blocks, hoisted
-//                                         budget checks, fused pairs) and
-//                                         the superblock JIT lowering
-//                                         (superblock CFG, folded guards,
-//                                         fused loops, emitted listing)
+//   ashtool dump-translated <file>        print the download-time
+//                                         translated form: the superblock
+//                                         JIT lowering (superblock CFG,
+//                                         folded guards, fused loops,
+//                                         emitted listing)
 //   ashtool status <file> [msgs]          download into a supervised
 //                                         one-node kernel, offer `msgs`
 //                                         messages (default 10), and print
@@ -97,7 +95,6 @@
 #include "sim/simulator.hpp"
 #include "trace/format.hpp"
 #include "trace/trace.hpp"
-#include "vcode/codecache.hpp"
 #include "vcode/jit/jit.hpp"
 #include "vcode/env_util.hpp"
 #include "vcode/interp.hpp"
@@ -609,11 +606,8 @@ int cmd_dump_translated(const std::string& file) {
     std::fprintf(stderr, "%s: not a valid .ashv image\n", file.c_str());
     return 1;
   }
-  const ash::vcode::CodeCache cache(*prog);
-  std::fputs("== codecache (pre-decoded threaded form) ==\n", stdout);
-  std::fputs(cache.dump().c_str(), stdout);
   const ash::vcode::JitBackend jit(*prog);
-  std::fputs("\n== jit (superblock lowering) ==\n", stdout);
+  std::fputs("== jit (superblock lowering) ==\n", stdout);
   std::fputs(jit.dump().c_str(), stdout);
   return 0;
 }

@@ -549,8 +549,8 @@ RuleLeg run_rule_leg(const ashc::RuleSet& rs,
 }
 
 /// Random rule sets over fuzz frame corpora (including mutated
-/// adversarial frames): the compiled program must verify, and every
-/// backend must agree with the reference interpreter on decisions, send
+/// adversarial frames): the compiled program must verify, and both
+/// backends must agree with the reference interpreter on decisions, send
 /// bytes, and final state.
 void fuzz_rules(std::uint64_t iters, std::uint64_t seed) {
   for (std::uint64_t it = 0; it < iters; ++it) {
@@ -595,7 +595,6 @@ void fuzz_rules(std::uint64_t iters, std::uint64_t seed) {
     }
 
     const ash::vcode::Backend backends[] = {ash::vcode::Backend::Interp,
-                                            ash::vcode::Backend::CodeCache,
                                             ash::vcode::Backend::Jit};
     for (const auto be : backends) {
       const RuleLeg leg = run_rule_leg(rs, frames, be);
