@@ -156,7 +156,7 @@ TcpFixture* build_tcp_fixture() {
     f->owner_base = self.segment().base;
     f->owner_size = self.segment().size;
 
-    // Re-wrap the attach hook: same invocation as AshSystem::attach_an2,
+    // Re-wrap the attach hook: the same dispatch as AshSystem::attach,
     // plus a pre-invoke TCB snapshot so the first committing data segment
     // can be replayed later.
     net::An2Device* dev = f->dev_b.get();
@@ -172,7 +172,7 @@ TcpFixture* build_tcp_fixture() {
           core::MsgContext msg;
           msg.addr = ev.desc.addr;
           msg.len = ev.desc.len;
-          msg.channel = ev.vc;
+          msg.channel = ev.channel;
           msg.user_arg = f->tcb_base;
           const auto before = sys->stats(f->ash_id).commits;
           const bool consumed = sys->invoke(

@@ -180,7 +180,7 @@ RunOut run_mix(const std::vector<TenantSpec>& specs, sim::Cycles window) {
                 64);
           }
           if (id >= 0) {
-            ash_sys.attach_an2(dev_s, vc, id,
+            ash_sys.attach(dev_s, vc, id,
                                self.segment().base + 0x80000);
           }
           co_await self.sleep_for(us(1e9));

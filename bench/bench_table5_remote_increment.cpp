@@ -57,7 +57,7 @@ double rtt_us(Mode mode, bool suspended) {
     }
     const std::uint32_t ctr = self.segment().base + 0x4000;
     if (mode == Mode::Upcall) {
-      upcalls.attach_an2(*w.dev_b, vc,
+      upcalls.attach(*w.dev_b, vc,
                          [&w, ctr](const core::UpcallManager::Ctx& ctx) {
                            std::uint8_t* c = w.b->mem(ctr, 4);
                            c[0] = static_cast<std::uint8_t>(c[0] + 1);
@@ -72,7 +72,7 @@ double rtt_us(Mode mode, bool suspended) {
       std::string error;
       const int id = ash_sys.download(self, ashlib::make_remote_increment(),
                                       opts, &error);
-      ash_sys.attach_an2(*w.dev_b, vc, id, ctr);
+      ash_sys.attach(*w.dev_b, vc, id, ctr);
     }
     // Process state during the experiment:
     if (suspended) {

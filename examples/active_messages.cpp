@@ -54,7 +54,7 @@ int main() {
     std::printf("dispatcher installed: %zu instructions, %zu translated "
                 "indirect-jump targets\n",
                 prog.insns.size(), prog.indirect_map.size());
-    ash_system.attach_an2(nic_r, vc, ash_id, cell_addr);
+    ash_system.attach(nic_r, vc, ash_id, cell_addr);
     co_await self.sleep_for(us(1e6));
   });
 

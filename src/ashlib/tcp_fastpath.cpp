@@ -315,7 +315,7 @@ std::optional<TcpFastPath> install_tcp_fastpath(core::AshSystem& ash,
   out.ash_id = ash.download(conn.link().self(), prog, opts, error,
                             &out.report);
   if (out.ash_id < 0) return std::nullopt;
-  ash.attach_an2(dev, vc, out.ash_id, conn.shm().base());
+  ash.attach(dev, vc, out.ash_id, conn.shm().base());
   conn.set_handler_attached(true);
   return out;
 }
@@ -350,7 +350,7 @@ std::optional<TcpFastPath> install_tcp_fastpath_eth(
   shm.set(proto::tcb::kAckFrameOff,
           static_cast<std::uint32_t>(proto::kEthHeaderLen));
 
-  ash.attach_eth(dev, endpoint, out.ash_id, conn.shm().base());
+  ash.attach(dev, endpoint, out.ash_id, conn.shm().base());
   conn.set_handler_attached(true);
   return out;
 }
@@ -362,7 +362,7 @@ void install_tcp_fastpath_upcall(core::UpcallManager& upcalls,
   proto::TcbShm shm = conn.shm();
   conn.set_handler_attached(true);
 
-  upcalls.attach_an2(dev, vc, [node, shm](const core::UpcallManager::Ctx&
+  upcalls.attach(dev, vc, [node, shm](const core::UpcallManager::Ctx&
                                               ctx) mutable {
     using core::UpcallManager;
     // Cost of running the prediction checks and deciding to decline.

@@ -26,6 +26,8 @@
 
 #include "core/ash.hpp"
 #include "core/upcall.hpp"
+#include "net/an2.hpp"
+#include "net/ethernet.hpp"
 #include "proto/tcp.hpp"
 
 namespace ash::ashlib {

@@ -18,13 +18,32 @@ namespace ash::core {
 namespace {
 
 /// Denial events share one shape; the admission guards differ only in
-/// reason. `cpu_id` is the denying CPU — the node's main CPU on the
-/// inline path, the receive queue's CPU on the batched path.
+/// reason. `cpu_id` is the denying CPU — the node's main CPU inline, the
+/// receive queue's CPU for a queue batch, the unit's on a NIC.
 void trace_denied(sim::Node& node, std::uint16_t cpu_id, int ash_id,
                   trace::DenyReason reason) {
   trace::global().emit(trace::make_event(
       trace::EventType::AshDenied, cpu_id, node.now(), ash_id,
       static_cast<std::uint32_t>(reason)));
+}
+
+/// The message a port frame presents to its handler: the port's logical
+/// view (stripe geometry resolved by AshEnv), replying on its channel.
+MsgContext port_msg(const net::RxPort& port, int channel, net::RxDesc desc,
+                    std::uint32_t user_arg) {
+  MsgContext msg;
+  msg.addr = desc.addr;
+  msg.len = desc.len;
+  msg.stripe_chunk = port.stripe_chunk();
+  msg.channel = channel;
+  msg.user_arg = user_arg;
+  return msg;
+}
+
+AshSystem::SendFn port_send(net::RxPort* port) {
+  return [port](int chan, std::span<const std::uint8_t> bytes) {
+    return port->send(chan, bytes);
+  };
 }
 
 }  // namespace
@@ -185,22 +204,7 @@ const Supervisor::HandlerState& AshSystem::supervisor_state(
 }
 
 void AshSystem::clear_attachments(Installed& ash) {
-  for (const Attachment& att : ash.attachments) {
-    if (att.an2 != nullptr) {
-      att.an2->set_kernel_hook(att.channel, nullptr);
-      att.an2->set_kernel_batch_hook(att.channel, nullptr);
-      if (att.an2->nic() != nullptr) {
-        att.an2->nic()->detach(att.an2, att.channel);
-      }
-    }
-    if (att.eth != nullptr) {
-      att.eth->set_kernel_hook(att.channel, nullptr);
-      att.eth->set_kernel_batch_hook(att.channel, nullptr);
-      if (att.eth->nic() != nullptr) {
-        att.eth->nic()->detach(att.eth, att.channel);
-      }
-    }
-  }
+  for (const Attachment& att : ash.attachments) unhook(*att.port, att.channel);
   ash.attachments.clear();
 }
 
@@ -229,7 +233,7 @@ std::size_t AshSystem::revoke_owner(const sim::Process& owner) {
   }
   // Feed the tenant scheduler: the account is closed and its deficit debt
   // written off; frames already coalesced for this owner will be drained
-  // by invoke_batch with counted denials.
+  // by dispatch with counted denials.
   if (tenants_ != nullptr) tenants_->on_owner_revoked(owner);
   return revoked;
 }
@@ -239,12 +243,12 @@ std::uint64_t AshSystem::owner_faults(const sim::Process& owner) const {
   return it == faults_by_owner_.end() ? 0 : it->second;
 }
 
-bool AshSystem::detach_an2(net::An2Device& dev, int vc) {
+bool AshSystem::detach(net::RxPort& port, int channel) {
   bool found = false;
   for (const auto& entry : installed_) {
     auto& atts = entry->attachments;
     for (std::size_t i = 0; i < atts.size();) {
-      if (atts[i].an2 == &dev && atts[i].channel == vc) {
+      if (atts[i].port == &port && atts[i].channel == channel) {
         atts.erase(atts.begin() + static_cast<std::ptrdiff_t>(i));
         found = true;
       } else {
@@ -252,32 +256,7 @@ bool AshSystem::detach_an2(net::An2Device& dev, int vc) {
       }
     }
   }
-  if (found) {
-    dev.set_kernel_hook(vc, nullptr);
-    dev.set_kernel_batch_hook(vc, nullptr);
-    if (dev.nic() != nullptr) dev.nic()->detach(&dev, vc);
-  }
-  return found;
-}
-
-bool AshSystem::detach_eth(net::EthernetDevice& dev, int endpoint) {
-  bool found = false;
-  for (const auto& entry : installed_) {
-    auto& atts = entry->attachments;
-    for (std::size_t i = 0; i < atts.size();) {
-      if (atts[i].eth == &dev && atts[i].channel == endpoint) {
-        atts.erase(atts.begin() + static_cast<std::ptrdiff_t>(i));
-        found = true;
-      } else {
-        ++i;
-      }
-    }
-  }
-  if (found) {
-    dev.set_kernel_hook(endpoint, nullptr);
-    dev.set_kernel_batch_hook(endpoint, nullptr);
-    if (dev.nic() != nullptr) dev.nic()->detach(&dev, endpoint);
-  }
+  if (found) unhook(port, channel);
   return found;
 }
 
@@ -390,8 +369,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
 AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
                                         const MsgContext& msg, AshEnv& env,
                                         std::uint16_t cpu_id,
-                                        sim::Cycles dispatch,
-                                        sim::Cycles clear) {
+                                        sim::Cycles entry) {
   AshStats& stats = ash.stats;
   ++stats.invocations;
 
@@ -442,7 +420,7 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
 
   RunResult result;
   result.outcome = exec.outcome;
-  result.total = dispatch + exec.cycles + clear;
+  result.total = entry + exec.cycles;
   result.insns = exec.insns;
 
   stats.by_outcome[static_cast<std::size_t>(exec.outcome)] += 1;
@@ -497,69 +475,29 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
   return result;
 }
 
-bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
-                       sim::Cycles tx_cost) {
-  Installed* ash_p = admit(ash_id, node_.cpu_id());
-  if (ash_p == nullptr) return false;
-  Installed& ash = *ash_p;
-
-  AshEnv::Config env_cfg;
-  env_cfg.node = &node_;
-  env_cfg.owner_seg = ash.owner->segment();
-  env_cfg.msg_addr = msg.addr;
-  env_cfg.msg_len = msg.len;
-  env_cfg.stripe_chunk = msg.stripe_chunk;
-  env_cfg.engine = &dilp_;
-  env_cfg.tx_cost = tx_cost;
-  AshEnv env(env_cfg);
-
-  const sim::CostModel& cost = node_.cost();
-  const sim::Cycles dispatch =
-      cost.ash_timer_setup +
-      (ash.opts.prebound_translation ? 0 : cost.ash_context_install);
-  const RunResult run = run_one(ash_id, ash, msg, env, node_.cpu_id(),
-                                dispatch, cost.ash_timer_clear);
-
-  // Occupy the CPU for the handler's runtime; release collected sends when
-  // it "finishes" so replies cannot precede the work that produced them.
-  // Sends were snapshotted at TSend time, so later handler stores to the
-  // same buffer cannot corrupt an in-flight reply.
-  if (run.outcome == vcode::Outcome::Halted && !env.sends().empty()) {
-    auto sends = env.sends();
-    node_.kernel_work(run.total,
-                      [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                        for (const auto& req : sends) {
-                          send_fn(req.channel, req.bytes);
-                        }
-                      });
-  } else {
-    node_.kernel_work(run.total);
-  }
-
-  return run.consumed;
-}
-
-void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
-                             SendFn send_fn, sim::Cycles tx_cost,
-                             const sim::KernelCpu& cpu, bool* consumed) {
-  const std::uint16_t cpu_id = cpu.cpu_id();
+AshSystem::DispatchResult AshSystem::dispatch(
+    int ash_id, std::span<const MsgContext> msgs, SendFn send_fn,
+    sim::Cycles tx_cost, const ChargePolicy& policy, bool* consumed) {
+  net::NicExecUnit* const unit = policy.unit;
+  const std::uint16_t cpu_id =
+      unit != nullptr ? unit->cpu_id() : policy.cpu.cpu_id();
   const sim::CostModel& cost = node_.cost();
 
-  sim::Cycles batch_total = 0;
-  std::uint64_t batch_insns = 0;
-  std::uint32_t executed = 0;
+  DispatchResult res;
+  std::uint32_t executed = 0, committed = 0;
+  std::uint64_t insns = 0;
   std::vector<AshEnv::SendReq> sends;
 
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     // Per-message admission: a fault on message k can quarantine or
-    // revoke the handler mid-batch, and the messages after it must see
-    // that decision — the batch amortizes entry cost, not policy.
+    // revoke the handler mid-run, and the messages after it must see
+    // that decision — a batch amortizes entry cost, not policy.
     trace::DenyReason why{};
     Installed* ash_p = admit(ash_id, cpu_id, &why);
     if (ash_p == nullptr) {
-      // Revocation is terminal: no later message in this batch can be
-      // admitted, so drain the remaining coalesced frames with counted
-      // denials instead of re-running the admission path per frame.
+      // Revocation is terminal: no later message can be admitted, so
+      // drain the rest with counted denials instead of re-running the
+      // admission path per message.
       if (why == trace::DenyReason::Revoked) {
         Installed* rev = find(ash_id);
         if (rev != nullptr) {
@@ -567,8 +505,7 @@ void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
           for (std::size_t j = i + 1; j < msgs.size(); ++j) {
             ++rev->stats.revoked_skips;
             if (trace::enabled()) {
-              trace_denied(node_, cpu_id, ash_id,
-                           trace::DenyReason::Revoked);
+              trace_denied(node_, cpu_id, ash_id, trace::DenyReason::Revoked);
             }
           }
           if (tenants_ != nullptr && drained != 0) {
@@ -581,6 +518,9 @@ void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
     }
     Installed& ash = *ash_p;
 
+    // Same env and tx_cost wherever the handler runs, so execution — and
+    // therefore AshStats, the outcome taxonomy and replies — is identical
+    // on every path; only the charge differs.
     AshEnv::Config env_cfg;
     env_cfg.node = &node_;
     env_cfg.owner_seg = ash.owner->segment();
@@ -591,125 +531,110 @@ void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
     env_cfg.tx_cost = tx_cost;
     AshEnv env(env_cfg);
 
-    // First executed message pays the full entry; the rest only re-arm
-    // the budget timer. The single timer clear is added after the loop.
-    const sim::Cycles dispatch =
-        executed == 0
-            ? cost.ash_timer_setup +
-                  (ash.opts.prebound_translation ? 0
-                                                 : cost.ash_context_install)
-            : cost.ash_batch_rearm;
-    const RunResult run =
-        run_one(ash_id, ash, msgs[i], env, cpu_id, dispatch, 0);
+    // Host entry: the first executed message installs the owner's context
+    // and arms the budget timer; the rest only re-arm it. A NIC unit is
+    // hardware-sequenced: no host entry at all.
+    sim::Cycles entry = 0;
+    if (unit == nullptr) {
+      entry = executed == 0
+                  ? cost.ash_timer_setup + (ash.opts.prebound_translation
+                                                ? 0
+                                                : cost.ash_context_install)
+                  : cost.ash_batch_rearm;
+    }
+    const RunResult run = run_one(ash_id, ash, msgs[i], env, cpu_id, entry);
     ++executed;
-    batch_total += run.total;
-    batch_insns += run.insns;
-
+    insns += run.insns;
+    if (run.outcome != vcode::Outcome::Halted &&
+        run.outcome != vcode::Outcome::VoluntaryAbort) {
+      ++res.faults;
+    }
+    res.charged += unit != nullptr
+                       ? unit->cost().dispatch + unit->scale(run.total)
+                       : run.total;
     if (run.consumed) {
+      ++committed;
       if (consumed != nullptr) consumed[i] = true;
-      sends.insert(sends.end(), env.sends().begin(), env.sends().end());
+      std::vector<AshEnv::SendReq> mine = env.take_sends();
+      if (sends.empty()) {
+        sends = std::move(mine);
+      } else {
+        sends.insert(sends.end(), std::make_move_iterator(mine.begin()),
+                     std::make_move_iterator(mine.end()));
+      }
+    }
+  }
+  res.replies = static_cast<std::uint32_t>(sends.size());
+
+  if (unit != nullptr) {
+    // Replies issue straight from the device; every message handed back
+    // to the host (denied or not consumed) pays the punt handoff.
+    res.charged +=
+        static_cast<sim::Cycles>(res.replies) * unit->cost().reply_issue +
+        static_cast<sim::Cycles>(msgs.size() - committed) *
+            unit->cost().punt_handoff;
+  } else {
+    if (executed > 0) res.charged += cost.ash_timer_clear;
+    if (trace::enabled()) {
+      trace::global().emit(trace::make_event(
+          trace::EventType::BatchDispatch, cpu_id, node_.now(), ash_id,
+          static_cast<std::uint32_t>(msgs.size()), executed, res.charged,
+          insns));
     }
   }
 
-  if (executed > 0) batch_total += cost.ash_timer_clear;
-
-  if (trace::enabled()) {
-    trace::global().emit(trace::make_event(
-        trace::EventType::BatchDispatch, cpu_id, node_.now(), ash_id,
-        static_cast<std::uint32_t>(msgs.size()), executed, batch_total,
-        batch_insns));
-  }
-
-  // One CPU charge for the whole batch; all collected sends release when
-  // the batch's runtime has elapsed, preserving the reply-ordering
-  // contract of the single-message path.
+  // One charge for the whole run; collected sends release when it
+  // completes.
+  sim::EventFn release;
   if (!sends.empty()) {
-    cpu.kernel_work(batch_total,
-                    [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                      for (const auto& req : sends) {
-                        send_fn(req.channel, req.bytes);
-                      }
-                    });
-  } else if (batch_total != 0) {
-    cpu.kernel_work(batch_total);
+    release = [send_fn = std::move(send_fn), sends = std::move(sends)] {
+      for (const auto& req : sends) send_fn(req.channel, req.bytes);
+    };
+  } else if (res.charged == 0) {
+    return res;
   }
+  if (unit != nullptr) {
+    unit->work(res.charged, std::move(release));
+  } else {
+    policy.cpu.kernel_work(res.charged, std::move(release));
+  }
+  return res;
 }
 
-void AshSystem::attach_an2(net::An2Device& dev, int vc, int ash_id,
-                           std::uint32_t user_arg) {
-  at(ash_id).attachments.push_back({&dev, nullptr, vc});
-  net::An2Device* device = &dev;
-  dev.set_kernel_hook(vc, [this, device, ash_id, user_arg](
-                              const net::An2Device::RxEvent& ev) {
-    MsgContext msg;
-    msg.addr = ev.desc.addr;
-    msg.len = ev.desc.len;
-    msg.stripe_chunk = 0;
-    msg.channel = ev.vc;
-    msg.user_arg = user_arg;
-    return invoke(ash_id, msg,
-                  [device](int chan, std::span<const std::uint8_t> bytes) {
-                    return device->send(chan, bytes);
-                  },
-                  device->config().tx_kernel_work);
-  });
-  // Batched form for the multi-queue receive path; same message shape,
-  // entry cost amortized across the batch by invoke_batch.
-  dev.set_kernel_batch_hook(
-      vc, [this, device, ash_id, user_arg](
-              std::span<const net::An2Device::RxEvent> evs,
-              const sim::KernelCpu& cpu, bool* consumed) {
-        std::vector<MsgContext> msgs(evs.size());
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-          msgs[i].addr = evs[i].desc.addr;
-          msgs[i].len = evs[i].desc.len;
-          msgs[i].stripe_chunk = 0;
-          msgs[i].channel = evs[i].vc;
-          msgs[i].user_arg = user_arg;
-        }
-        invoke_batch(ash_id, msgs,
-                     [device](int chan, std::span<const std::uint8_t> bytes) {
-                       return device->send(chan, bytes);
-                     },
-                     device->config().tx_kernel_work, cpu, consumed);
-      });
+bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
+                       sim::Cycles tx_cost) {
+  bool consumed = false;
+  dispatch(ash_id, {&msg, 1}, std::move(send_fn), tx_cost,
+           ChargePolicy::host(sim::KernelCpu(node_)), &consumed);
+  return consumed;
 }
 
-void AshSystem::attach_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                           std::uint32_t user_arg) {
-  at(ash_id).attachments.push_back({nullptr, &dev, endpoint});
-  net::EthernetDevice* device = &dev;
-  dev.set_kernel_hook(endpoint, [this, device, ash_id, user_arg](
-                                    const net::EthernetDevice::RxEvent& ev) {
-    MsgContext msg;
-    msg.addr = ev.striped.addr;
-    msg.len = ev.striped.len;
-    msg.stripe_chunk = 16;
-    msg.channel = ev.endpoint;
-    msg.user_arg = user_arg;
-    return invoke(ash_id, msg,
-                  [device](int, std::span<const std::uint8_t> bytes) {
-                    return device->send(bytes);
-                  },
-                  device->config().tx_kernel_work);
-  });
-  dev.set_kernel_batch_hook(
-      endpoint, [this, device, ash_id, user_arg](
-                    std::span<const net::EthernetDevice::RxEvent> evs,
-                    const sim::KernelCpu& cpu, bool* consumed) {
-        std::vector<MsgContext> msgs(evs.size());
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-          msgs[i].addr = evs[i].striped.addr;
-          msgs[i].len = evs[i].striped.len;
-          msgs[i].stripe_chunk = 16;
-          msgs[i].channel = evs[i].endpoint;
-          msgs[i].user_arg = user_arg;
+void AshSystem::unhook(net::RxPort& port, int channel) {
+  port.set_kernel_batch_hook(channel, nullptr);
+  if (port.nic() != nullptr) port.nic()->detach(&port, channel);
+}
+
+void AshSystem::attach(net::RxPort& port, int channel, int ash_id,
+                       std::uint32_t user_arg) {
+  at(ash_id).attachments.push_back({&port, channel});
+  net::RxPort* p = &port;
+  port.set_kernel_batch_hook(
+      channel, [this, p, ash_id, user_arg](
+                   std::span<const net::RxPort::RxEvent> evs,
+                   const sim::KernelCpu& cpu, bool* consumed) {
+        // A batch of one (every inline arrival) stays on the stack.
+        MsgContext one;
+        std::vector<MsgContext> many;
+        MsgContext* msgs = &one;
+        if (evs.size() > 1) {
+          many.resize(evs.size());
+          msgs = many.data();
         }
-        invoke_batch(ash_id, msgs,
-                     [device](int, std::span<const std::uint8_t> bytes) {
-                       return device->send(bytes);
-                     },
-                     device->config().tx_kernel_work, cpu, consumed);
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+          msgs[i] = port_msg(*p, evs[i].channel, evs[i].desc, user_arg);
+        }
+        dispatch(ash_id, {msgs, evs.size()}, port_send(p),
+                 p->tx_kernel_work(), ChargePolicy::host(cpu), consumed);
       });
 }
 
@@ -720,114 +645,26 @@ std::uint32_t AshSystem::nic_footprint(int ash_id) const {
          kNicHandlerStateBytes;
 }
 
-net::NicExecResult AshSystem::invoke_nic(int ash_id, const MsgContext& msg,
-                                         SendFn send_fn, sim::Cycles tx_cost,
-                                         net::NicExecUnit& unit) {
-  net::NicExecResult res;
-  Installed* ash_p = admit(ash_id, unit.cpu_id());
-  if (ash_p == nullptr) {
-    // Admission denied on-device (revoked/quarantined/tenant/livelock).
-    // Deny counters and trace are identical to a host-path denial; the
-    // frame goes back to the host as a punt, charged only the handoff.
-    res.charged = unit.cost().punt_handoff;
-    unit.work(res.charged);
-    return res;
-  }
-  Installed& ash = *ash_p;
-
-  // Same env and tx_cost as the host paths, so execution — and therefore
-  // AshStats, outcome taxonomy, and replies — is identical wherever the
-  // handler runs. Only the cycle *charge* differs: it lands on the NIC
-  // unit under its own clock ratio and dispatch cost.
-  AshEnv::Config env_cfg;
-  env_cfg.node = &node_;
-  env_cfg.owner_seg = ash.owner->segment();
-  env_cfg.msg_addr = msg.addr;
-  env_cfg.msg_len = msg.len;
-  env_cfg.stripe_chunk = msg.stripe_chunk;
-  env_cfg.engine = &dilp_;
-  env_cfg.tx_cost = tx_cost;
-  AshEnv env(env_cfg);
-
-  // No host timer setup/clear on the device; the unit's dispatch overhead
-  // replaces them, added below under the device cost model.
-  const RunResult run = run_one(ash_id, ash, msg, env, unit.cpu_id(), 0, 0);
-  res.ran = true;
-  res.consumed = run.consumed;
-  res.faulted = run.outcome != vcode::Outcome::Halted &&
-                run.outcome != vcode::Outcome::VoluntaryAbort;
-  res.charged = unit.cost().dispatch + unit.scale(run.total);
-
-  if (run.consumed && !env.sends().empty()) {
-    // Replies initiate from the device (TSend with no host transition);
-    // the same release-after-runtime contract as invoke() applies.
-    auto sends = env.sends();
-    res.replies = static_cast<std::uint32_t>(sends.size());
-    res.charged += static_cast<sim::Cycles>(res.replies) *
-                   unit.cost().reply_issue;
-    unit.work(res.charged,
-              [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                for (const auto& req : sends) {
-                  send_fn(req.channel, req.bytes);
-                }
-              });
-  } else {
-    // Ran-but-not-consumed (voluntary abort, fault, or plain "not mine")
-    // hands the frame back to the host: charge the punt handoff too.
-    if (!run.consumed) res.charged += unit.cost().punt_handoff;
-    unit.work(res.charged);
-  }
-  return res;
-}
-
-bool AshSystem::offload_an2(net::An2Device& dev, int vc, int ash_id,
-                            std::uint32_t user_arg) {
-  // Host hooks first: not-resident punts and post-detach frames must run
+bool AshSystem::offload(net::RxPort& port, int channel, int ash_id,
+                        std::uint32_t user_arg) {
+  // Host hook first: not-resident punts and post-detach frames must run
   // the handler on the normal host path, so behaviour is identical minus
   // where the cycles land.
-  attach_an2(dev, vc, ash_id, user_arg);
-  if (dev.nic() == nullptr) return false;
-  net::An2Device* device = &dev;
-  return dev.nic()->attach(
-      &dev, vc, nic_footprint(ash_id),
-      [this, device, ash_id, user_arg](const net::RxFrame& f,
-                                       net::NicExecUnit& unit) {
-        MsgContext msg;
-        msg.addr = f.addr;
-        msg.len = f.len;
-        msg.stripe_chunk = 0;
-        msg.channel = f.channel;
-        msg.user_arg = user_arg;
-        return invoke_nic(
-            ash_id, msg,
-            [device](int chan, std::span<const std::uint8_t> bytes) {
-              return device->send(chan, bytes);
-            },
-            device->config().tx_kernel_work, unit);
-      });
-}
-
-bool AshSystem::offload_eth(net::EthernetDevice& dev, int endpoint,
-                            int ash_id, std::uint32_t user_arg) {
-  attach_eth(dev, endpoint, ash_id, user_arg);
-  if (dev.nic() == nullptr) return false;
-  net::EthernetDevice* device = &dev;
-  return dev.nic()->attach(
-      &dev, endpoint, nic_footprint(ash_id),
-      [this, device, ash_id, user_arg](const net::RxFrame& f,
-                                       net::NicExecUnit& unit) {
-        MsgContext msg;
-        msg.addr = f.addr;
-        msg.len = f.len;
-        msg.stripe_chunk = 16;
-        msg.channel = f.channel;
-        msg.user_arg = user_arg;
-        return invoke_nic(
-            ash_id, msg,
-            [device](int, std::span<const std::uint8_t> bytes) {
-              return device->send(bytes);
-            },
-            device->config().tx_kernel_work, unit);
+  attach(port, channel, ash_id, user_arg);
+  if (port.nic() == nullptr) return false;
+  net::RxPort* p = &port;
+  return port.nic()->attach(
+      &port, channel, nic_footprint(ash_id),
+      [this, p, ash_id, user_arg](const net::RxFrame& f,
+                                  net::NicExecUnit& unit) {
+        const MsgContext msg =
+            port_msg(*p, f.channel, net::RxDesc{f.addr, f.len}, user_arg);
+        bool consumed = false;
+        const DispatchResult r =
+            dispatch(ash_id, {&msg, 1}, port_send(p), p->tx_kernel_work(),
+                     ChargePolicy::nic(unit), &consumed);
+        return net::NicExecResult{consumed, r.faults != 0, r.replies,
+                                  r.charged};
       });
 }
 

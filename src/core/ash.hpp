@@ -40,8 +40,8 @@
 #include "core/supervisor.hpp"
 #include "dilp/engine.hpp"
 #include "net/an2.hpp"
-#include "net/ethernet.hpp"
 #include "net/nic_offload.hpp"
+#include "net/rx_port.hpp"
 #include "sandbox/sfi.hpp"
 #include "sim/cpu.hpp"
 #include "sim/node.hpp"
@@ -113,7 +113,7 @@ struct AshFaultRecord {
 ///
 /// Thread model: plain (non-atomic) fields with a single writer — the
 /// thread driving this node's simulator, which is the only thread that
-/// runs AshSystem::invoke. Readers are either that same thread (ashtool,
+/// runs AshSystem::dispatch. Readers are either that same thread (ashtool,
 /// tests) or run after the simulation has stopped, so no read can tear.
 /// Concurrent cross-thread polling belongs on trace::Tracer's atomic
 /// emitted/dropped counters instead (see src/trace/trace.hpp; the CI tsan
@@ -180,16 +180,20 @@ class AshSystem {
                      std::uint32_t state_addr, const AshOptions& opts,
                      std::string* error);
 
-  /// Attach a downloaded ASH to an AN2 virtual circuit. Replies via TSend
-  /// go out on this device.
-  void attach_an2(net::An2Device& dev, int vc, int ash_id,
-                  std::uint32_t user_arg = 0);
+  /// Attach a downloaded ASH to a port's channel (an AN2 VC or an
+  /// Ethernet/DPF endpoint). The message the handler sees is the port's
+  /// logical view (striping resolved by the kernel); replies via TSend go
+  /// out on the port. Every arrival — inline (a batch of one on the main
+  /// CPU) or from an RX queue — reaches dispatch() through one batch hook.
+  void attach(net::RxPort& port, int channel, int ash_id,
+              std::uint32_t user_arg = 0);
 
-  /// Attach to an Ethernet/DPF endpoint. The message offered to the
-  /// handler is the striped kernel buffer; TDilp with a striped-layout ilp
-  /// or TUserCopy (which destripes) moves it out.
-  void attach_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                  std::uint32_t user_arg = 0);
+  /// Forwarder to attach(), kept only because bench/suite/am_mix.cpp and
+  /// bench/suite/tenant_flood.cpp call it; it goes with their next change.
+  void attach_an2(net::An2Device& dev, int vc, int ash_id,
+                  std::uint32_t user_arg = 0) {
+    attach(dev, vc, ash_id, user_arg);
+  }
 
   // ---- smart-NIC offload (net/nic_offload.hpp) ----
 
@@ -197,16 +201,14 @@ class AshSystem {
   /// plus fast-mem scratch and DILP persistent registers.
   std::uint32_t nic_footprint(int ash_id) const;
 
-  /// Attach like attach_an2, *and* make the handler NIC-resident on the
-  /// device's NicProcessor (dev.set_nic must have been called). Returns
+  /// Attach like attach(), *and* make the handler NIC-resident on the
+  /// port's NicProcessor (port.set_nic must have been called). Returns
   /// true when the handler fit the NIC memory window — its frames then
   /// execute on device units; false leaves it host-resident (frames are
-  /// counted NotResident punts through the normal host hooks installed
+  /// counted NotResident punts through the normal host hook installed
   /// here either way, so behaviour is identical minus where cycles land).
-  bool offload_an2(net::An2Device& dev, int vc, int ash_id,
-                   std::uint32_t user_arg = 0);
-  bool offload_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                   std::uint32_t user_arg = 0);
+  bool offload(net::RxPort& port, int channel, int ash_id,
+               std::uint32_t user_arg = 0);
 
   /// Receive-livelock guard (Section VI-4): at most `quota` handler runs
   /// per owning process per `window` cycles; beyond that, messages fall
@@ -242,13 +244,12 @@ class AshSystem {
   Health health(int ash_id) const;
   const Supervisor::HandlerState& supervisor_state(int ash_id) const;
 
-  /// Detach whatever handler is hooked to this demux point: the device
+  /// Detach whatever handler is hooked to this demux point: the port's
   /// hook is cleared and the attachment forgotten. Returns false when no
   /// ASH of this system was attached there. Must not be called from
   /// inside the handler's own invocation (revocation, which can fire
   /// there, defers its hook-clearing instead).
-  bool detach_an2(net::An2Device& dev, int vc);
-  bool detach_eth(net::EthernetDevice& dev, int endpoint);
+  bool detach(net::RxPort& port, int channel);
 
   /// Permanently revoke a handler: marks it Revoked and clears its device
   /// hooks (deferred through the event queue, so revocation is safe from
@@ -294,47 +295,57 @@ class AshSystem {
   /// Delivers one collected TSend at handler completion: (channel, bytes).
   using SendFn = std::function<bool(int, std::span<const std::uint8_t>)>;
 
-  /// Invoke handler `ash_id` on a message, in kernel context. Returns true
-  /// if the handler consumed the message (commit). Exposed for tests and
-  /// for custom demux points; devices call it through the attach hooks.
+  /// Where a dispatch charges its cycles; the calling path chooses.
+  struct ChargePolicy {
+    /// Host: the node's main CPU (inline) or an RX queue's CPU. The first
+    /// executed message pays the sandbox entry (budget-timer setup +
+    /// context install), messages 2..N only CostModel::ash_batch_rearm,
+    /// and the run pays one timer clear.
+    sim::KernelCpu cpu;
+    /// NIC: a handler execution unit. Each message pays clock-scaled
+    /// execution plus the unit's dispatch, reply_issue per reply, and
+    /// punt_handoff when it is denied or not consumed — none of the
+    /// host's entry/exit charges.
+    net::NicExecUnit* unit = nullptr;
+
+    static ChargePolicy host(const sim::KernelCpu& cpu) { return {cpu}; }
+    static ChargePolicy nic(net::NicExecUnit& unit) { return {{}, &unit}; }
+  };
+
+  /// What a dispatch did, beyond the per-message consumed flags.
+  struct DispatchResult {
+    std::uint32_t faults = 0;   // involuntary aborts
+    std::uint32_t replies = 0;  // TSends released
+    sim::Cycles charged = 0;    // cycles charged under the policy
+  };
+
+  /// Run handler `ash_id` over messages that share one demux point, in
+  /// kernel context — the one path every arrival takes (inline, RX-queue
+  /// batch, NIC unit). Containment is per message: admission
+  /// (revocation, quarantine, tenant cycle quota, livelock quota) runs for
+  /// every message, and a fault on message k aborts only that run — the
+  /// supervisor is notified and the remaining messages still execute (or
+  /// are denied by the policy it just triggered). `consumed[i]`, when
+  /// non-null, is set true for each committed message; unset messages
+  /// fall back to the normal path. The run is charged once, under
+  /// `policy`, and the TSends of every committed message are released
+  /// together when that charge completes — replies never precede the work
+  /// that produced them.
+  DispatchResult dispatch(int ash_id, std::span<const MsgContext> msgs,
+                          SendFn send_fn, sim::Cycles tx_cost,
+                          const ChargePolicy& policy, bool* consumed);
+
+  /// Invoke handler `ash_id` on one message on the node's main CPU: a
+  /// host dispatch of one. Returns true if the handler consumed the
+  /// message (commit). For tests, tools and custom demux points.
   bool invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
               sim::Cycles tx_cost);
 
-  /// Batched invocation for the multi-queue receive path: all messages
-  /// share one handler and one demux point. The first dispatched message
-  /// pays the full sandbox-entry cost (budget-timer setup + context
-  /// install); messages 2..N pay only CostModel::ash_batch_rearm — the
-  /// owner's context is already installed and the budget timer is merely
-  /// re-armed — and the timer is cleared once per batch.
-  ///
-  /// Containment is per message: admission (revocation, quarantine,
-  /// livelock quota) runs for every message, and a fault on message k
-  /// aborts only that run — the supervisor is notified and the remaining
-  /// messages still execute (or are denied by the policy it just
-  /// triggered). `consumed[i]`, when non-null, is set true for each
-  /// committed message; unset messages fall back to the normal path.
-  ///
-  /// Cycles are charged on `cpu` (the receive queue's CPU), and collected
-  /// TSends from all committed messages are released together when the
-  /// batch's charged runtime has elapsed.
-  void invoke_batch(int ash_id, std::span<const MsgContext> msgs,
-                    SendFn send_fn, sim::Cycles tx_cost,
-                    const sim::KernelCpu& cpu, bool* consumed);
-
-  /// Run handler `ash_id` on a NIC execution unit (the NicHook body —
-  /// exposed for tests). Admission, execution, stats, tenant charging,
-  /// and the supervisor all go through the same machinery as the host
-  /// paths; only the cycle charge lands on `unit`, under its cost model.
-  net::NicExecResult invoke_nic(int ash_id, const MsgContext& msg,
-                                SendFn send_fn, sim::Cycles tx_cost,
-                                net::NicExecUnit& unit);
-
  private:
-  /// One device hook this handler is attached through (for detach and
-  /// revocation-time hook clearing). Exactly one device pointer is set.
+  /// One port hook this handler is attached through (for detach and
+  /// revocation-time hook clearing).
   struct Attachment {
-    net::An2Device* an2 = nullptr;
-    net::EthernetDevice* eth = nullptr;
+    net::RxPort* port = nullptr;
     int channel = 0;  // VC or endpoint id
   };
 
@@ -363,31 +374,31 @@ class AshSystem {
   /// must never unwind through the driver).
   Installed* find(int ash_id) noexcept;
 
-  /// Admission shared by invoke and invoke_batch: bad id, revocation,
-  /// quarantine, the tenant cycle quota, and the livelock quota. nullptr
-  /// means the message falls back to the normal delivery path (already
-  /// counted and traced, with `cpu_id` as the denying CPU); `why`, when
-  /// non-null, receives the denial reason so the batch path can
-  /// short-circuit a revoked handler's remaining frames.
+  /// Per-message admission: bad id, revocation, quarantine, the tenant
+  /// cycle quota, and the livelock quota. nullptr means the message falls
+  /// back to the normal delivery path (already counted and traced, with
+  /// `cpu_id` as the denying CPU); `why`, when non-null, receives the
+  /// denial reason so dispatch can drain a revoked handler's remaining
+  /// messages.
   Installed* admit(int ash_id, std::uint16_t cpu_id,
                    trace::DenyReason* why = nullptr);
 
-  /// One handler run, shared by invoke and invoke_batch. `dispatch` and
-  /// `clear` are the caller's entry/exit charges for THIS message (the
-  /// batch path passes the marginal re-arm cost for messages 2..N and
-  /// folds the single timer clear in at the end), so `total` is the
-  /// marginal share this message adds to the CPU charge. Updates stats,
-  /// the fault record, and the supervisor; emits AshDispatch/AshOutcome.
+  /// One handler run. `entry` is the host entry charge for THIS message
+  /// (the full sandbox entry for the first, the re-arm for the rest, 0 on
+  /// a NIC unit), so `total` is the share this message adds to the
+  /// charge before the policy's per-run terms. Updates stats, the fault
+  /// record, and the supervisor; emits AshDispatch/AshOutcome.
   struct RunResult {
     vcode::Outcome outcome = vcode::Outcome::Halted;
     bool consumed = false;
-    sim::Cycles total = 0;      // dispatch + exec cycles + clear
+    sim::Cycles total = 0;      // entry + exec cycles
     std::uint64_t insns = 0;
   };
   RunResult run_one(int ash_id, Installed& ash, const MsgContext& msg,
-                    AshEnv& env, std::uint16_t cpu_id, sim::Cycles dispatch,
-                    sim::Cycles clear);
-  /// Clear all device hooks now (caller must not be inside one of them).
+                    AshEnv& env, std::uint16_t cpu_id, sim::Cycles entry);
+  /// Clear one port hook (and its NIC residency) now.
+  void unhook(net::RxPort& port, int channel);
+  /// Clear all port hooks now (caller must not be inside one of them).
   void clear_attachments(Installed& ash);
   /// Mark revoked and schedule the hook-clearing after the current event
   /// (safe from inside the handler's own invocation).

@@ -36,7 +36,7 @@ bool AshEnv::mem_read(std::uint32_t addr, void* dst, std::uint32_t len) {
   if (!readable(addr, len)) return false;
   const std::uint8_t* p = cfg_.node->mem(addr, len);
   if (p == nullptr) return false;
-  std::memcpy(dst, p, len);
+  if (len != 0) std::memcpy(dst, p, len);  // dst may be null when empty
   return true;
 }
 
@@ -103,19 +103,16 @@ bool AshEnv::t_msglen(std::uint32_t* len_out, std::uint64_t* cycles) {
 bool AshEnv::t_send(std::uint32_t chan, std::uint32_t addr, std::uint32_t len,
                     std::uint32_t* status, std::uint64_t* cycles) {
   *cycles = cfg_.tx_cost;
-  if (!readable(addr, len)) {
+  // Snapshot now (the handler may overwrite the buffer afterwards); the
+  // wire transmission is released at handler completion. The snapshot
+  // reads through the logical view, so a send from a striped message
+  // carries its bytes, not the device's layout.
+  std::vector<std::uint8_t> bytes(len);
+  if (!mem_read(addr, bytes.data(), len)) {
     *status = 1;  // bad range: the call fails, the handler decides
     return true;
   }
-  const std::uint8_t* p = cfg_.node->mem(addr, len);
-  if (p == nullptr) {
-    *status = 1;
-    return true;
-  }
-  // Snapshot now (the handler may overwrite the buffer afterwards); the
-  // wire transmission is released at handler completion.
-  sends_.push_back(SendReq{static_cast<int>(chan),
-                           std::vector<std::uint8_t>(p, p + len)});
+  sends_.push_back(SendReq{static_cast<int>(chan), std::move(bytes)});
   if (trace::enabled()) {
     trace::global().emit_ctx(trace::EventType::TSendInitiated,
                              trace::Engine::None, len, chan, *cycles, 0);

@@ -43,7 +43,8 @@ class AshEnv final : public vcode::Env {
     int channel;
     std::vector<std::uint8_t> bytes;  // snapshot taken at TSend time
   };
-  const std::vector<SendReq>& sends() const noexcept { return sends_; }
+  /// Hand the collected sends over once the run is done with them.
+  std::vector<SendReq> take_sends() noexcept { return std::move(sends_); }
 
   // vcode::Env:
   void bind_regs(std::uint32_t* regs) override { regs_ = regs; }

@@ -5,7 +5,7 @@
 // The paper's fig. 4 shows ASH throughput holding as untrusting processes
 // share a node — but nothing there stops one hostile tenant from starving
 // the rest of handler cycles, RX-queue slots, or kernel buffers. This
-// layer sits between dispatch (AshSystem::invoke / invoke_batch and
+// layer sits between dispatch (AshSystem::dispatch and
 // RxQueue::enqueue) and the tenants, giving each OWNING PROCESS a virtual
 // resource account:
 //

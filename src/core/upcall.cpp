@@ -26,39 +26,22 @@ bool UpcallManager::run(
   return r.consumed;
 }
 
-void UpcallManager::attach_an2(net::An2Device& dev, int vc, Handler handler) {
+void UpcallManager::attach(net::RxPort& port, int channel,
+                           Handler handler) {
   handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
   Handler* h = handlers_.back().get();
-  net::An2Device* device = &dev;
-  dev.set_kernel_hook(vc, [this, h, device](const net::An2Device::RxEvent& ev) {
+  net::RxPort* p = &port;
+  port.set_kernel_hook(channel, [this, h, p](const net::RxPort::RxEvent& ev) {
     Ctx ctx;
     ctx.msg_addr = ev.desc.addr;
     ctx.msg_len = ev.desc.len;
-    ctx.channel = ev.vc;
+    ctx.stripe_chunk = p->stripe_chunk();
+    ctx.channel = ev.channel;
     return run(*h, ctx,
-               [device](int chan, std::span<const std::uint8_t> bytes) {
-                 return device->send(chan, bytes);
+               [p](int chan, std::span<const std::uint8_t> bytes) {
+                 return p->send(chan, bytes);
                });
   });
-}
-
-void UpcallManager::attach_eth(net::EthernetDevice& dev, int endpoint,
-                               Handler handler) {
-  handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
-  Handler* h = handlers_.back().get();
-  net::EthernetDevice* device = &dev;
-  dev.set_kernel_hook(
-      endpoint, [this, h, device](const net::EthernetDevice::RxEvent& ev) {
-        Ctx ctx;
-        ctx.msg_addr = ev.striped.addr;
-        ctx.msg_len = ev.striped.len;
-        ctx.stripe_chunk = 16;
-        ctx.channel = ev.endpoint;
-        return run(*h, ctx,
-                   [device](int, std::span<const std::uint8_t> bytes) {
-                     return device->send(bytes);
-                   });
-      });
 }
 
 }  // namespace ash::core

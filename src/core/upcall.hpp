@@ -23,8 +23,7 @@
 #include <span>
 #include <vector>
 
-#include "net/an2.hpp"
-#include "net/ethernet.hpp"
+#include "net/rx_port.hpp"
 #include "sim/node.hpp"
 
 namespace ash::core {
@@ -49,8 +48,9 @@ class UpcallManager {
 
   using Handler = std::function<Result(const Ctx&)>;
 
-  void attach_an2(net::An2Device& dev, int vc, Handler handler);
-  void attach_eth(net::EthernetDevice& dev, int endpoint, Handler handler);
+  /// Run `handler` for every arrival on the port's channel. The context
+  /// carries the port's stripe geometry; replies go out on the port.
+  void attach(net::RxPort& port, int channel, Handler handler);
 
   std::uint64_t invocations() const noexcept { return invocations_; }
 

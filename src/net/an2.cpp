@@ -1,11 +1,9 @@
 #include "net/an2.hpp"
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "net/an2_switch.hpp"
-#include "net/nic_offload.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
@@ -13,7 +11,9 @@
 namespace ash::net {
 
 An2Device::An2Device(sim::Node& node, const An2Config& config)
-    : node_(node), config_(config), faults_(config.faults) {}
+    : RxPort(node, trace::NicKind::An2),
+      config_(config),
+      faults_(config.faults) {}
 
 void An2Device::connect(An2Device& peer) {
   if (peer_ != nullptr || peer.peer_ != nullptr || switch_ != nullptr ||
@@ -32,65 +32,6 @@ void An2Device::attach_switch(An2Switch& sw) {
   switch_port_ = static_cast<int>(sw.ports_.size());
   sw.ports_.push_back(this);
 }
-
-int An2Device::bind_vc(sim::Process& owner) {
-  vcs_.emplace_back();
-  vcs_.back().owner = &owner;
-  return static_cast<int>(vcs_.size() - 1);
-}
-
-An2Device::Vc& An2Device::vc_at(int vc) {
-  if (vc < 0 || static_cast<std::size_t>(vc) >= vcs_.size()) {
-    throw std::out_of_range("An2Device: bad vc");
-  }
-  return vcs_[static_cast<std::size_t>(vc)];
-}
-
-const An2Device::Vc& An2Device::vc_at(int vc) const {
-  return const_cast<An2Device*>(this)->vc_at(vc);
-}
-
-void An2Device::supply_buffer(int vc, std::uint32_t addr, std::uint32_t len) {
-  Vc& v = vc_at(vc);
-  if (node_.mem(addr, len) == nullptr) {
-    throw std::out_of_range("An2Device: buffer outside node memory");
-  }
-  v.free_bufs.push_back({addr, len});
-}
-
-std::optional<RxDesc> An2Device::poll(int vc) {
-  Vc& v = vc_at(vc);
-  if (v.notify_ring.empty()) return std::nullopt;
-  const RxDesc d = v.notify_ring.front();
-  v.notify_ring.pop_front();
-  return d;
-}
-
-sim::WaitChannel& An2Device::arrival_channel(int vc) {
-  return vc_at(vc).arrival;
-}
-
-void An2Device::set_interrupt_mode(int vc, bool on) {
-  vc_at(vc).interrupt_mode = on;
-}
-
-void An2Device::set_kernel_hook(int vc, KernelHook hook) {
-  vc_at(vc).hook = std::move(hook);
-}
-
-void An2Device::set_kernel_batch_hook(int vc, KernelBatchHook hook) {
-  vc_at(vc).batch_hook = std::move(hook);
-}
-
-void An2Device::return_buffer(int vc, std::uint32_t addr, std::uint32_t len) {
-  supply_buffer(vc, addr, len);
-}
-
-std::size_t An2Device::free_buffers(int vc) const {
-  return vc_at(vc).free_bufs.size();
-}
-
-std::uint64_t An2Device::drops(int vc) const { return vc_at(vc).drops; }
 
 sim::Cycles An2Device::tx_wire_cycles(std::uint32_t len) const {
   const double cycles_per_byte =
@@ -146,8 +87,8 @@ bool An2Device::send(int dst_vc, std::span<const std::uint8_t> bytes) {
 }
 
 void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
-  if (vc_id < 0 || static_cast<std::size_t>(vc_id) >= vcs_.size()) return;
-  Vc& vc = vcs_[static_cast<std::size_t>(vc_id)];
+  if (!valid_channel(vc_id)) return;
+  Channel& vc = chan(vc_id);
 
   if (trace::enabled()) {
     trace::global().emit(trace::make_event(
@@ -163,14 +104,14 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
   }
 
   if (vc.free_bufs.empty()) {
-    ++vc.drops;
+    count_drop(vc_id);
     return;
   }
-  RxDesc buf = vc.free_bufs.front();
+  const RxDesc buf = vc.free_bufs.front();
   if (bytes.size() > buf.len) {
     // Message larger than the supplied buffer: the real board would scatter
     // across buffers; we model single-buffer VCs and drop oversize frames.
-    ++vc.drops;
+    count_drop(vc_id);
     return;
   }
   vc.free_bufs.pop_front();
@@ -187,171 +128,59 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
   }
   const RxDesc desc{buf.addr, static_cast<std::uint32_t>(bytes.size())};
 
-  if (rxq_ != nullptr) {
-    // Multi-queue path: the board's VC demux result steers the frame to a
-    // receive queue (free, hardware steering); all kernel work — the
-    // per-frame driver/demux/flush pass and hook or notification delivery
-    // — happens when the queue's batch fires, on the queue's CPU.
-    RxFrame f;
-    f.sink = this;
-    f.channel = vc_id;
-    f.addr = desc.addr;
-    f.len = desc.len;
-    f.buf_addr = buf.addr;
-    f.buf_len = buf.len;
-    f.owner = vc.owner;
-    f.driver_cycles = config_.rx_driver_work + node_.cost().demux_an2 +
-                      config_.rx_cache_flush;
-    // Smart-NIC offload: frames for NIC-resident VCs never reach a host
-    // queue — the processor runs the handler on a device execution unit
-    // (or counts a punt/drop). false means "host path, as usual".
-    if (nic_ != nullptr && nic_->offer(f)) return;
-    rxq_->steer(vc_id, vc.owner).enqueue(f);
+  if (rx_queues() == nullptr && !vc.hooked()) {
+    // Normal path: the board posts the notification ring entry directly
+    // (visible to a polling process immediately, no kernel work).
+    vc.notify_ring.push_back(desc);
+    if (vc.interrupt_mode) {
+      const sim::Cycles driver = node_.cost().interrupt_entry +
+                                 config_.rx_driver_work +
+                                 node_.cost().demux_an2 + node_.cost().wakeup;
+      node_.kernel_work(driver, [this, vc_id] {
+        chan(vc_id).arrival.notify(/*boost=*/true);
+      });
+    } else {
+      // Pure polling: no CPU involvement. Still post a token so
+      // coroutines that mix poll-and-wait do not race.
+      vc.arrival.notify(/*boost=*/false);
+    }
     return;
   }
 
-  if (vc.hook) {
-    // Kernel receive hook (the ASH path): interrupt entry + driver work +
-    // cache flush, then the hook runs in kernel context. The hook itself
-    // charges its own execution (node.kernel_work) as needed. When the
-    // handler consumes the message, the kernel recycles the receive buffer
-    // immediately (the handler has copied out what it wanted) — otherwise
-    // the VC would starve after rx_buffers consumed messages.
-    const sim::Cycles driver = node_.cost().interrupt_entry +
-                               config_.rx_driver_work +
-                               node_.cost().demux_an2 + config_.rx_cache_flush;
-    node_.kernel_work(driver, [this, vc_id, desc, buf] {
-      Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-      const RxEvent ev{vc_id, desc, v.owner};
-      if (v.hook && v.hook(ev)) {
-        v.free_bufs.push_back(buf);  // consumed: recycle
-        return;
-      }
-      // ASH-attached VC falling back to the normal delivery path (handler
-      // denied, aborted without consuming, or detached mid-flight).
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, node_.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
-      v.notify_ring.push_back(desc);
-      v.arrival.notify(/*boost=*/true);
-    });
-    return;
-  }
-
-  // Normal path: the board posts the notification ring entry directly
-  // (visible to a polling process immediately, no kernel work).
-  vc.notify_ring.push_back(desc);
-  if (vc.interrupt_mode) {
-    const sim::Cycles driver = node_.cost().interrupt_entry +
-                               config_.rx_driver_work +
-                               node_.cost().demux_an2 + node_.cost().wakeup;
-    node_.kernel_work(driver, [this, vc_id] {
-      Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-      v.arrival.notify(/*boost=*/true);
-    });
-  } else {
-    // Pure polling: no CPU involvement. Still post a token so coroutines
-    // that mix poll-and-wait do not race.
-    vc.arrival.notify(/*boost=*/false);
-  }
+  // Kernel receive path (a hook is attached, or a queue set steers): the
+  // driver pass is interrupt work + demux + the software cache flush of
+  // the message location, after which the hook runs. A consumed message's
+  // buffer is recycled at once — the handler copied out what it wanted.
+  RxFrame f;
+  f.channel = vc_id;
+  f.addr = desc.addr;
+  f.len = desc.len;
+  f.buf_addr = buf.addr;
+  f.buf_len = buf.len;
+  f.owner = vc.owner;
+  f.driver_cycles =
+      config_.rx_driver_work + node_.cost().demux_an2 + config_.rx_cache_flush;
+  steer(f);
 }
 
-void An2Device::rx_batch(std::span<const RxFrame> frames,
-                         const sim::KernelCpu& cpu) {
-  if (frames.empty()) return;
-  // The queue groups by (sink, channel): all frames share one VC. Hooks
-  // are re-checked here, at delivery time, because the supervisor may
-  // have revoked them while the batch sat in the queue.
-  const int vc_id = frames.front().channel;
-  Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-
-  if (v.batch_hook) {
-    std::vector<RxEvent> evs;
-    evs.reserve(frames.size());
-    for (const RxFrame& f : frames) {
-      evs.push_back(RxEvent{vc_id, RxDesc{f.addr, f.len}, f.owner});
-    }
-    std::unique_ptr<bool[]> consumed(new bool[frames.size()]());
-    v.batch_hook(evs, cpu, consumed.get());
-    bool any_fallback = false;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const RxFrame& f = frames[i];
-      if (consumed[i]) {
-        v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
-      v.notify_ring.push_back(RxDesc{f.addr, f.len});
-      any_fallback = true;
-    }
-    if (any_fallback) v.arrival.notify(/*boost=*/true);
-    return;
-  }
-
-  for (const RxFrame& f : frames) {
-    const RxDesc desc{f.addr, f.len};
-    if (v.hook) {
-      // Per-frame hook with no batch form installed: run it per message.
-      const RxEvent ev{vc_id, desc, f.owner};
-      if (v.hook(ev)) {
-        v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
-    }
-    v.notify_ring.push_back(desc);
-  }
-  if (v.interrupt_mode) {
-    // One coalesced wakeup per batch (vs one per frame inline).
-    cpu.kernel_work(node_.cost().wakeup, [this, vc_id] {
-      vcs_[static_cast<std::size_t>(vc_id)].arrival.notify(/*boost=*/true);
-    });
-  } else {
-    v.arrival.notify(/*boost=*/false);
-  }
+void An2Device::recycle(const RxFrame& frame) {
+  // The pinned receive buffer goes back at its full original length.
+  chan(frame.channel).free_bufs.push_back(
+      RxDesc{frame.buf_addr, frame.buf_len});
 }
 
-void An2Device::rx_drop(const RxFrame& frame) {
-  Vc& v = vcs_[static_cast<std::size_t>(frame.channel)];
-  v.free_bufs.push_back(RxDesc{frame.buf_addr, frame.buf_len});
-  ++v.drops;
+bool An2Device::post(const RxFrame& frame, const sim::KernelCpu& cpu) {
+  // The payload is already in the owner's buffer: post the ring entry.
+  (void)cpu;
+  chan(frame.channel).notify_ring.push_back(RxDesc{frame.addr, frame.len});
+  return true;
 }
 
-void An2Device::nic_consumed(const RxFrame& frame) {
-  // The handler committed on-device: the board recycles the pinned
-  // receive buffer itself, no host cycles.
-  Vc& v = vcs_[static_cast<std::size_t>(frame.channel)];
-  v.free_bufs.push_back(RxDesc{frame.buf_addr, frame.buf_len});
-}
-
-void An2Device::nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) {
-  // The NIC handed the frame back: charge the host's normal per-frame
-  // receive pass on the steered queue's CPU, then deliver through the
-  // fallback notification path. The handler is NOT re-run — it already
-  // executed (at most) once on the device.
-  const int vc_id = frame.channel;
-  const sim::Cycles host_pass =
-      cpu.node().cost().interrupt_entry + frame.driver_cycles;
-  cpu.kernel_work(host_pass, [this, vc_id, frame, cpu] {
-    Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-          vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-    }
-    v.notify_ring.push_back(RxDesc{frame.addr, frame.len});
-    v.arrival.notify(/*boost=*/true);
-  });
+void An2Device::wake_declined(int vc, const sim::KernelCpu& cpu) {
+  // A declined frame was already paid for by the hook path's driver
+  // pass: the owner is notified (boosted) with no separate wakeup charge.
+  (void)cpu;
+  chan(vc).arrival.notify(/*boost=*/true);
 }
 
 }  // namespace ash::net

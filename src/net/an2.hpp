@@ -19,27 +19,17 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "net/fault.hpp"
-#include "net/rx_queue.hpp"
+#include "net/rx_port.hpp"
 #include "sim/node.hpp"
 #include "sim/process.hpp"
 
 namespace ash::net {
 
 class An2Switch;
-class NicProcessor;
-
-/// Where a received message landed in the owner's memory.
-struct RxDesc {
-  std::uint32_t addr = 0;
-  std::uint32_t len = 0;
-};
 
 struct An2Config {
   /// Maximum payload rate ("about 16.8 Mbytes/s per link").
@@ -64,7 +54,7 @@ struct An2Config {
   FaultConfig faults;
 };
 
-class An2Device : public RxSink {
+class An2Device final : public RxPort {
  public:
   An2Device(sim::Node& node, const An2Config& config = {});
 
@@ -76,90 +66,14 @@ class An2Device : public RxSink {
   /// sends are then routed by the switch's circuit table.
   void attach_switch(An2Switch& sw);
 
-  sim::Node& node() noexcept { return node_; }
   const An2Config& config() const noexcept { return config_; }
 
-  // ---- virtual circuits ----
+  // ---- virtual circuits (the port's channels) ----
 
-  /// Event delivered to a kernel receive hook (the ASH attachment point).
-  struct RxEvent {
-    int vc;
-    RxDesc desc;
-    sim::Process* owner;
-  };
-  /// Runs in kernel context right after the driver's cache flush. Return
-  /// true if the message was consumed; false falls back to the normal
-  /// notification path.
-  using KernelHook = std::function<bool(const RxEvent&)>;
-
-  /// Batched form, used by the multi-queue receive path: all events share
-  /// one VC; the hook sets consumed[i] per message (unset entries fall
-  /// back to the notification path). Runs on the queue's CPU and charges
-  /// its own execution there.
-  using KernelBatchHook = std::function<void(
-      std::span<const RxEvent>, const sim::KernelCpu&, bool* consumed)>;
-
-  /// Bind a VC owned by `owner`. Returns the VC id.
-  int bind_vc(sim::Process& owner);
-
-  /// Supply a pinned receive buffer (within the owner's memory).
-  void supply_buffer(int vc, std::uint32_t addr, std::uint32_t len);
-
-  /// Poll the notification ring: pop the next arrival, if any. Free — the
-  /// caller charges poll-iteration cycles itself, and the contract is
-  /// check-then-charge: charge poll_iteration only AFTER an empty poll,
-  /// and charge the receive-processing overhead (an2_user_recv_overhead)
-  /// INSTEAD of — never in addition to — a poll_iteration on the
-  /// iteration that finds a frame. A frame arriving mid-iteration is
-  /// discovered by the next check at no extra poll charge; the cycle-
-  /// exact expectation is pinned by tests/net_poll_charge_test.cpp.
-  std::optional<RxDesc> poll(int vc);
-
-  /// Channel notified on arrivals in interrupt mode (token semantics).
-  sim::WaitChannel& arrival_channel(int vc);
-
-  /// Interrupt mode: arrivals perform kernel work and wake the owner.
-  /// Off (default): pure polling, no kernel involvement per packet.
-  void set_interrupt_mode(int vc, bool on);
-
-  /// Install/remove the kernel receive hook for a VC. Passing a null
-  /// hook clears it (detach/revocation); arrivals then take the normal
-  /// notification path with no kernel involvement.
-  void set_kernel_hook(int vc, KernelHook hook);
-  bool has_kernel_hook(int vc) const {
-    return static_cast<bool>(vc_at(vc).hook);
-  }
-
-  /// Install/remove the batched kernel hook (multi-queue path). When a
-  /// queue set is attached and a batch hook is present it takes priority
-  /// over the per-frame hook for steered batches; null clears it.
-  void set_kernel_batch_hook(int vc, KernelBatchHook hook);
-
-  /// Steer arrivals through a multi-queue receive set instead of the
-  /// inline per-frame path; nullptr (default) restores the inline path.
-  /// The set must outlive the device's traffic.
-  void set_rx_queues(RxQueueSet* queues) noexcept { rxq_ = queues; }
-  RxQueueSet* rx_queues() const noexcept { return rxq_; }
-
-  /// Put a smart-NIC handler processor in front of the queue set: frames
-  /// for NIC-resident VCs are offered to it at steer time (before the
-  /// host RxQueueSet). Requires set_rx_queues; nullptr restores the pure
-  /// host path. The processor must outlive the device's traffic.
-  void set_nic(NicProcessor* nic) noexcept { nic_ = nic; }
-  NicProcessor* nic() const noexcept { return nic_; }
-
-  // RxSink: batch delivery from an RxQueue (kernel context, queue CPU).
-  void rx_batch(std::span<const RxFrame> frames,
-                const sim::KernelCpu& cpu) override;
-  void rx_drop(const RxFrame& frame) override;
-  void nic_consumed(const RxFrame& frame) override;
-  void nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) override;
-
-  /// Return a consumed buffer to the free ring (its full original length).
-  void return_buffer(int vc, std::uint32_t addr, std::uint32_t len);
-
-  std::size_t free_buffers(int vc) const;
-  std::uint64_t drops(int vc) const;
+  /// Bind a VC owned by `owner`. Returns the VC id. Buffers, polling,
+  /// interrupt mode and kernel hooks are the RxPort's: a hook runs in
+  /// kernel context right after the driver's cache flush.
+  int bind_vc(sim::Process& owner) { return add_channel(owner); }
 
   /// Per-fault-class event counts for this device's transmit direction.
   const FaultCounters& fault_counters() const noexcept {
@@ -176,38 +90,30 @@ class An2Device : public RxSink {
   /// not connected or the range is bad.
   bool send_from(int dst_vc, std::uint32_t addr, std::uint32_t len);
 
-  /// Send a byte string (kernel-originated control traffic, tests).
-  bool send(int dst_vc, std::span<const std::uint8_t> bytes);
+  /// Send a byte string to the peer's VC `dst_vc`.
+  bool send(int dst_vc, std::span<const std::uint8_t> bytes) override;
 
   /// Serialization + fixed per-packet cost for `len` bytes (for benches).
   sim::Cycles tx_wire_cycles(std::uint32_t len) const;
 
- private:
-  struct Vc {
-    sim::Process* owner = nullptr;
-    std::deque<RxDesc> free_bufs;
-    std::deque<RxDesc> notify_ring;
-    sim::WaitChannel arrival;
-    KernelHook hook;
-    KernelBatchHook batch_hook;
-    bool interrupt_mode = false;
-    std::uint64_t drops = 0;
-  };
+  // RxPort: AN2 DMAs straight into the owner's memory, unstriped.
+  std::uint32_t stripe_chunk() const noexcept override { return 0; }
+  sim::Cycles tx_kernel_work() const noexcept override {
+    return config_.tx_kernel_work;
+  }
 
+ private:
   friend class An2Switch;
 
-  Vc& vc_at(int vc);
-  const Vc& vc_at(int vc) const;
   void deliver(int vc, std::vector<std::uint8_t> bytes);
+  void recycle(const RxFrame& frame) override;
+  bool post(const RxFrame& frame, const sim::KernelCpu& cpu) override;
+  void wake_declined(int vc, const sim::KernelCpu& cpu) override;
 
-  sim::Node& node_;
   An2Config config_;
   An2Device* peer_ = nullptr;
   An2Switch* switch_ = nullptr;
   int switch_port_ = -1;
-  std::vector<Vc> vcs_;
-  RxQueueSet* rxq_ = nullptr;
-  NicProcessor* nic_ = nullptr;
   sim::Cycles tx_free_at_ = 0;  // link serialization pipeline
   FaultInjector faults_;
 };

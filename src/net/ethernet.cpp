@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "net/nic_offload.hpp"
 #include "sim/kernel.hpp"
 #include "sim/memops.hpp"
 #include "sim/simulator.hpp"
@@ -18,7 +17,9 @@ constexpr std::uint32_t kKernelBufBase = 0x8000;
 }  // namespace
 
 EthernetDevice::EthernetDevice(sim::Node& node, const EthernetConfig& config)
-    : node_(node), config_(config), faults_(config.faults) {
+    : RxPort(node, trace::NicKind::Ethernet),
+      config_(config),
+      faults_(config.faults) {
   if (config_.compiled_dpf) {
     demux_ = std::make_unique<dpf::CompiledEngine>();
   } else {
@@ -44,60 +45,9 @@ void EthernetDevice::connect(EthernetDevice& peer) {
 }
 
 int EthernetDevice::attach(sim::Process& owner, dpf::Filter filter) {
-  endpoints_.emplace_back();
-  endpoints_.back().owner = &owner;
-  const int id = static_cast<int>(endpoints_.size() - 1);
+  const int id = add_channel(owner);
   demux_->insert(std::move(filter), id);
   return id;
-}
-
-EthernetDevice::Endpoint& EthernetDevice::ep_at(int id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= endpoints_.size()) {
-    throw std::out_of_range("EthernetDevice: bad endpoint");
-  }
-  return endpoints_[static_cast<std::size_t>(id)];
-}
-
-const EthernetDevice::Endpoint& EthernetDevice::ep_at(int id) const {
-  return const_cast<EthernetDevice*>(this)->ep_at(id);
-}
-
-void EthernetDevice::supply_buffer(int endpoint, std::uint32_t addr,
-                                   std::uint32_t len) {
-  if (node_.mem(addr, len) == nullptr) {
-    throw std::out_of_range("EthernetDevice: buffer outside node memory");
-  }
-  ep_at(endpoint).free_bufs.push_back({addr, len});
-}
-
-std::optional<RxDesc> EthernetDevice::poll(int endpoint) {
-  Endpoint& ep = ep_at(endpoint);
-  if (ep.notify_ring.empty()) return std::nullopt;
-  const RxDesc d = ep.notify_ring.front();
-  ep.notify_ring.pop_front();
-  return d;
-}
-
-sim::WaitChannel& EthernetDevice::arrival_channel(int endpoint) {
-  return ep_at(endpoint).arrival;
-}
-
-void EthernetDevice::set_interrupt_mode(int endpoint, bool on) {
-  ep_at(endpoint).interrupt_mode = on;
-}
-
-void EthernetDevice::set_kernel_hook(int endpoint, KernelHook hook) {
-  ep_at(endpoint).hook = std::move(hook);
-}
-
-void EthernetDevice::set_kernel_batch_hook(int endpoint,
-                                           KernelBatchHook hook) {
-  ep_at(endpoint).batch_hook = std::move(hook);
-}
-
-void EthernetDevice::return_buffer(int endpoint, std::uint32_t addr,
-                                   std::uint32_t len) {
-  supply_buffer(endpoint, addr, len);
 }
 
 sim::Cycles EthernetDevice::tx_wire_cycles(std::uint32_t len) const {
@@ -165,7 +115,7 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
     }
   }
   if (kb == nullptr) {
-    ++drops_;
+    count_drop(-1);
     return;
   }
   kb->in_use = true;
@@ -174,7 +124,8 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
   const auto len = static_cast<std::uint32_t>(bytes.size());
   std::uint8_t* buf = node_.mem(kb->addr, 2 * len);
   for (std::uint32_t i = 0; i < len; ++i) {
-    buf[(i / 16) * 32 + (i % 16)] = bytes[i];
+    buf[(i / kStripeChunk) * 2 * kStripeChunk + (i % kStripeChunk)] =
+        bytes[i];
   }
   node_.dcache().invalidate_range(kb->addr, 2 * len);
 
@@ -201,205 +152,51 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
         visited, static_cast<std::uint32_t>(trace::NicKind::Ethernet),
         demux_cost));
   }
-  if (rxq_ != nullptr && ep_id >= 0) {
-    // Multi-queue path: the DPF match result steers the frame; the
-    // driver/demux work and the endpoint's receive path are charged when
-    // the queue's batch fires, on the queue's CPU. Unmatched frames stay
-    // inline below (no endpoint to steer by).
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    RxFrame f;
-    f.sink = this;
-    f.channel = ep_id;
-    f.addr = kb->addr;  // striped kernel buffer
-    f.len = len;
-    f.buf_addr = kb->addr;
-    f.buf_len = len;
-    f.owner = ep.owner;
-    f.driver_cycles = config_.rx_driver_work + demux_cost;
-    // Smart-NIC offload: frames for NIC-resident endpoints run on a
-    // device execution unit; false means "host path, as usual".
-    if (nic_ != nullptr && nic_->offer(f)) return;
-    rxq_->steer(ep_id, ep.owner).enqueue(f);
+
+  const std::uint32_t buf_addr = kb->addr;
+  if (ep_id < 0) {
+    // No endpoint to steer by: counted and dropped inline, in the
+    // interrupt handler.
+    node_.kernel_work(
+        node_.cost().interrupt_entry + config_.rx_driver_work + demux_cost,
+        [this, buf_addr] {
+          ++unmatched_;
+          release_kernel_buf(buf_addr);
+        });
     return;
   }
 
-  const sim::Cycles driver =
-      node_.cost().interrupt_entry + config_.rx_driver_work + demux_cost;
-
-  const std::uint32_t buf_addr = kb->addr;
-  node_.kernel_work(driver, [this, ep_id, buf_addr, len] {
-    if (ep_id < 0) {
-      ++unmatched_;
-      release_kernel_buf(buf_addr);
-      return;
-    }
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    const RxDesc striped{buf_addr, len};
-
-    if (ep.hook) {
-      // ASH path: the handler directs (and pays for) the one copy itself.
-      // A declined hook (voluntary/involuntary abort) falls through to the
-      // default copy-out below, which still holds the kernel buffer.
-      const RxEvent ev{ep_id, striped, ep.owner};
-      if (ep.hook(ev)) {
-        release_kernel_buf(buf_addr);
-        return;
-      }
-      // Declined by the handler: this frame takes the default copy-out.
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, node_.cpu_id(), node_.now(),
-            ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-      }
-    }
-
-    // Default path: the kernel copies the frame out of the scarce buffer
-    // into the endpoint's supplied app buffer right here, in the handler.
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < len) {
-      drops_ += 1;
-      release_kernel_buf(buf_addr);
-      return;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles =
-        sim::memops::copy_destripe(node_, dst.addr, buf_addr, len);
-    node_.kernel_work(copy_cycles);
-    release_kernel_buf(buf_addr);
-
-    ep.notify_ring.push_back({dst.addr, len});
-    if (ep.interrupt_mode) {
-      node_.kernel_work(node_.cost().wakeup, [this, ep_id] {
-        endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
-      });
-    } else {
-      ep.arrival.notify(false);
-    }
-  });
+  // The endpoint's receive path: its hook directs (and pays for) the one
+  // copy itself; otherwise — or when the hook declines — the kernel's
+  // default copy-out (post) runs, still holding the kernel buffer.
+  RxFrame f;
+  f.channel = ep_id;
+  f.addr = buf_addr;  // striped kernel buffer
+  f.len = len;
+  f.buf_addr = buf_addr;
+  f.buf_len = len;
+  f.owner = chan(ep_id).owner;
+  f.driver_cycles = config_.rx_driver_work + demux_cost;
+  steer(f);
 }
 
-void EthernetDevice::rx_batch(std::span<const RxFrame> frames,
-                              const sim::KernelCpu& cpu) {
-  if (frames.empty()) return;
-  const int ep_id = frames.front().channel;
-  Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-
-  // Default copy-out for one frame the hooks did not consume: the kernel
-  // copies the striped buffer into the endpoint's supplied app buffer,
-  // charging the copy on the queue's CPU, then recycles the kernel buffer.
-  const auto default_copy_out = [this, &ep, &cpu](const RxFrame& f) {
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < f.len) {
-      drops_ += 1;
-      release_kernel_buf(f.buf_addr);
-      return false;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles =
-        sim::memops::copy_destripe(node_, dst.addr, f.buf_addr, f.len);
-    cpu.kernel_work(copy_cycles);
-    release_kernel_buf(f.buf_addr);
-    ep.notify_ring.push_back({dst.addr, f.len});
-    return true;
-  };
-
-  std::size_t delivered = 0;
-  if (ep.batch_hook) {
-    std::vector<RxEvent> evs;
-    evs.reserve(frames.size());
-    for (const RxFrame& f : frames) {
-      evs.push_back(RxEvent{ep_id, RxDesc{f.addr, f.len}, f.owner});
-    }
-    std::unique_ptr<bool[]> consumed(new bool[frames.size()]());
-    ep.batch_hook(evs, cpu, consumed.get());
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const RxFrame& f = frames[i];
-      if (consumed[i]) {
-        release_kernel_buf(f.buf_addr);
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-      }
-      if (default_copy_out(f)) ++delivered;
-    }
-  } else {
-    for (const RxFrame& f : frames) {
-      if (ep.hook) {
-        const RxEvent ev{ep_id, RxDesc{f.addr, f.len}, f.owner};
-        if (ep.hook(ev)) {
-          release_kernel_buf(f.buf_addr);
-          continue;
-        }
-        if (trace::enabled()) {
-          trace::global().emit(trace::make_event(
-              trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-              ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-        }
-      }
-      if (default_copy_out(f)) ++delivered;
-    }
-  }
-
-  if (delivered == 0) return;
-  if (ep.interrupt_mode) {
-    // One coalesced wakeup per batch (vs one per frame inline).
-    cpu.kernel_work(node_.cost().wakeup, [this, ep_id] {
-      endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
-    });
-  } else {
-    ep.arrival.notify(/*boost=*/false);
-  }
-}
-
-void EthernetDevice::rx_drop(const RxFrame& frame) {
-  release_kernel_buf(frame.buf_addr);
-  ++drops_;
-}
-
-void EthernetDevice::nic_consumed(const RxFrame& frame) {
-  // The handler copied the frame out on-device; the scarce kernel buffer
-  // is free again without any host involvement.
-  release_kernel_buf(frame.buf_addr);
-}
-
-void EthernetDevice::nic_punt(const RxFrame& frame,
-                              const sim::KernelCpu& cpu) {
-  // Hand-back from the device: charge the host's per-frame receive pass
-  // on the steered queue's CPU, then take the default copy-out path (the
-  // handler is NOT re-run — it already executed at most once on-device).
-  const int ep_id = frame.channel;
-  const sim::Cycles host_pass =
-      cpu.node().cost().interrupt_entry + frame.driver_cycles;
-  cpu.kernel_work(host_pass, [this, ep_id, frame, cpu] {
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-          ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-    }
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < frame.len) {
-      drops_ += 1;
-      release_kernel_buf(frame.buf_addr);
-      return;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles = sim::memops::copy_destripe(
-        node_, dst.addr, frame.buf_addr, frame.len);
-    cpu.kernel_work(copy_cycles);
+bool EthernetDevice::post(const RxFrame& frame, const sim::KernelCpu& cpu) {
+  // Default path: the kernel copies the frame out of the scarce buffer
+  // into the endpoint's supplied app buffer, destriping as it goes, then
+  // recycles the kernel buffer.
+  Channel& ep = chan(frame.channel);
+  if (ep.free_bufs.empty() || ep.free_bufs.front().len < frame.len) {
+    count_drop(frame.channel);
     release_kernel_buf(frame.buf_addr);
-    ep.notify_ring.push_back({dst.addr, frame.len});
-    if (ep.interrupt_mode) {
-      cpu.kernel_work(node_.cost().wakeup, [this, ep_id] {
-        endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
-      });
-    } else {
-      ep.arrival.notify(/*boost=*/false);
-    }
-  });
+    return false;
+  }
+  const RxDesc dst = ep.free_bufs.front();
+  ep.free_bufs.pop_front();
+  cpu.kernel_work(sim::memops::copy_destripe(node_, dst.addr, frame.buf_addr,
+                                             frame.len, kStripeChunk));
+  release_kernel_buf(frame.buf_addr);
+  ep.notify_ring.push_back({dst.addr, frame.len});
+  return true;
 }
 
 }  // namespace ash::net

@@ -15,15 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "dpf/dpf.hpp"
-#include "net/an2.hpp"  // RxDesc
 #include "net/fault.hpp"
+#include "net/rx_port.hpp"
 #include "sim/node.hpp"
 #include "sim/process.hpp"
 
@@ -50,86 +48,31 @@ struct EthernetConfig {
   FaultConfig faults;
 };
 
-class EthernetDevice : public RxSink {
+class EthernetDevice final : public RxPort {
  public:
+  /// The DMA engine's stripe: this many data bytes, then as many padding
+  /// bytes, repeated.
+  static constexpr std::uint32_t kStripeChunk = 16;
+
   /// Kernel receive buffers live in the node's kernel area (segment 0).
   /// Each holds one striped frame (2 x max_frame_bytes).
   EthernetDevice(sim::Node& node, const EthernetConfig& config = {});
 
   void connect(EthernetDevice& peer);
 
-  sim::Node& node() noexcept { return node_; }
   const EthernetConfig& config() const noexcept { return config_; }
 
-  // ---- endpoints ----
-
-  /// A frame, staged in a kernel buffer, offered to a kernel hook. `addr`
-  /// points at the STRIPED kernel buffer (use memops::copy_destripe or a
-  /// striping-aware DILP loop to move it). The hook must finish with the
-  /// data copied out; the buffer is recycled when it returns.
-  struct RxEvent {
-    int endpoint;
-    RxDesc striped;        // addr of striped kernel buffer, len = frame len
-    sim::Process* owner;
-  };
-  using KernelHook = std::function<bool(const RxEvent&)>;
-
-  /// Batched form for the multi-queue receive path: all events share one
-  /// endpoint; consumed[i] set per frame means the hook copied it out and
-  /// the kernel buffer can be recycled (unset frames take the default
-  /// copy-out path). Runs on the queue's CPU and charges there.
-  using KernelBatchHook = std::function<void(
-      std::span<const RxEvent>, const sim::KernelCpu&, bool* consumed)>;
+  // ---- endpoints (the port's channels) ----
 
   /// Attach an endpoint: frames matching `filter` (DPF) belong to `owner`.
-  /// Returns the endpoint id.
+  /// Returns the endpoint id. Supplied buffers receive the kernel's
+  /// default (destriped) copy-out. A kernel hook sees the STRIPED kernel
+  /// buffer (use memops::copy_destripe or a striping-aware DILP loop to
+  /// move it) and must finish with the data copied out: the buffer is
+  /// recycled when it returns.
   int attach(sim::Process& owner, dpf::Filter filter);
 
-  /// Supply an app-memory buffer the kernel default path copies frames
-  /// into (destriped).
-  void supply_buffer(int endpoint, std::uint32_t addr, std::uint32_t len);
-
-  /// Poll the notification ring: pop the next copied-out arrival, if any.
-  /// Free — the caller charges poll-iteration cycles itself, with the
-  /// same check-then-charge contract as An2Device::poll: poll_iteration
-  /// only after an empty poll, receive-processing overhead instead of
-  /// (never in addition to) a poll charge on the iteration that finds a
-  /// frame. Pinned cycle-exactly by tests/net_poll_charge_test.cpp.
-  std::optional<RxDesc> poll(int endpoint);
-  sim::WaitChannel& arrival_channel(int endpoint);
-  void set_interrupt_mode(int endpoint, bool on);
-  /// Install/remove the kernel receive hook. Passing a null hook clears
-  /// it (detach/revocation); frames then take the default copy-out path.
-  void set_kernel_hook(int endpoint, KernelHook hook);
-  bool has_kernel_hook(int endpoint) const {
-    return static_cast<bool>(ep_at(endpoint).hook);
-  }
-
-  /// Install/remove the batched kernel hook (multi-queue path); takes
-  /// priority over the per-frame hook for steered batches.
-  void set_kernel_batch_hook(int endpoint, KernelBatchHook hook);
-
-  /// Steer matched frames through a multi-queue receive set; nullptr
-  /// (default) restores the inline path. Unmatched frames are always
-  /// counted and dropped inline (there is no endpoint to steer by).
-  void set_rx_queues(RxQueueSet* queues) noexcept { rxq_ = queues; }
-  RxQueueSet* rx_queues() const noexcept { return rxq_; }
-
-  /// Put a smart-NIC handler processor in front of the queue set (same
-  /// contract as An2Device::set_nic): matched frames for NIC-resident
-  /// endpoints are offered to it at steer time.
-  void set_nic(NicProcessor* nic) noexcept { nic_ = nic; }
-  NicProcessor* nic() const noexcept { return nic_; }
-
-  // RxSink: batch delivery from an RxQueue (kernel context, queue CPU).
-  void rx_batch(std::span<const RxFrame> frames,
-                const sim::KernelCpu& cpu) override;
-  void rx_drop(const RxFrame& frame) override;
-  void nic_consumed(const RxFrame& frame) override;
-  void nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) override;
-  void return_buffer(int endpoint, std::uint32_t addr, std::uint32_t len);
-
-  std::uint64_t drops() const noexcept { return drops_; }
+  /// Frames no endpoint matched (counted and dropped inline).
   std::uint64_t unmatched() const noexcept { return unmatched_; }
 
   /// Per-fault-class event counts for this device's transmit direction.
@@ -154,37 +97,36 @@ class EthernetDevice : public RxSink {
   bool send(std::span<const std::uint8_t> bytes);
   sim::Cycles tx_wire_cycles(std::uint32_t len) const;
 
- private:
-  struct Endpoint {
-    sim::Process* owner = nullptr;
-    std::deque<RxDesc> free_bufs;
-    std::deque<RxDesc> notify_ring;
-    sim::WaitChannel arrival;
-    KernelHook hook;
-    KernelBatchHook batch_hook;
-    bool interrupt_mode = false;
-  };
+  // RxPort: Ethernet carries no channel on the wire.
+  std::uint32_t stripe_chunk() const noexcept override {
+    return kStripeChunk;
+  }
+  bool send(int channel, std::span<const std::uint8_t> bytes) override {
+    (void)channel;
+    return send(bytes);
+  }
+  sim::Cycles tx_kernel_work() const noexcept override {
+    return config_.tx_kernel_work;
+  }
 
+ private:
   struct KernelBuf {
     std::uint32_t addr;
     bool in_use = false;
   };
 
-  Endpoint& ep_at(int id);
-  const Endpoint& ep_at(int id) const;
   void deliver(std::vector<std::uint8_t> bytes);
   void release_kernel_buf(std::uint32_t addr);
+  void recycle(const RxFrame& frame) override {
+    release_kernel_buf(frame.buf_addr);
+  }
+  bool post(const RxFrame& frame, const sim::KernelCpu& cpu) override;
 
-  sim::Node& node_;
   EthernetConfig config_;
   EthernetDevice* peer_ = nullptr;
-  std::vector<Endpoint> endpoints_;
   std::vector<KernelBuf> kernel_bufs_;
-  RxQueueSet* rxq_ = nullptr;
-  NicProcessor* nic_ = nullptr;
   std::unique_ptr<dpf::Engine> demux_;
   sim::Cycles tx_free_at_ = 0;
-  std::uint64_t drops_ = 0;
   std::uint64_t unmatched_ = 0;
   FaultInjector faults_;
 };

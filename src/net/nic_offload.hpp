@@ -149,9 +149,8 @@ class NicExecUnit {
 };
 
 /// What one NIC-side invocation did (returned by the installed NicHook,
-/// i.e. by AshSystem::invoke_nic).
+/// i.e. by AshSystem::dispatch under the NIC charge policy).
 struct NicExecResult {
-  bool ran = false;       // admission passed and the handler executed
   bool consumed = false;  // committed: the message is fully handled
   bool faulted = false;   // involuntary abort (punt attribution)
   std::uint32_t replies = 0;   // TSends issued from the device

@@ -189,7 +189,8 @@ void RxQueue::deliver_batch(std::vector<RxFrame> batch) {
     if (quota_ != nullptr) quota_->on_dispatched(f.owner);
   }
   // Group consecutive same-(sink, channel) runs so each sink sees a
-  // maximal batch for one demux point (what invoke_batch amortizes).
+  // maximal batch for one demux point (what AshSystem::dispatch
+  // amortizes).
   std::size_t i = 0;
   while (i < batch.size()) {
     std::size_t j = i + 1;

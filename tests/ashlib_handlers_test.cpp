@@ -71,7 +71,7 @@ struct World {
       const int id = ash_b->download(self, prog, opts, &error);
       EXPECT_GE(id, 0) << error;
       if (ash_id_out != nullptr) *ash_id_out = id;
-      ash_b->attach_an2(*dev_b, vc, id, make_arg(self));
+      ash_b->attach(*dev_b, vc, id, make_arg(self));
       co_await self.sleep_for(us(200000.0));
     });
   }

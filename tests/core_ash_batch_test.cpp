@@ -1,7 +1,8 @@
-// Batched ASH dispatch (AshSystem::invoke_batch): charge amortization,
-// and the ISSUE-5 containment property — a handler that faults mid-batch
-// must not poison the rest of the batch, with admission re-checked per
-// message so supervisor state changes take effect within the batch.
+// Batched ASH dispatch (AshSystem::dispatch on a host CPU): charge
+// amortization, and the containment property — a handler that faults
+// mid-batch must not poison the rest of the batch, with admission
+// re-checked per message so supervisor state changes take effect within
+// the batch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -97,7 +98,7 @@ struct BatchWorld {
             64);
       }
       ctr_addr = self.segment().base + 0x80000;
-      ash_b->attach_an2(*dev_b, vc, id, ctr_addr);
+      ash_b->attach(*dev_b, vc, id, ctr_addr);
       co_await self.sleep_for(us(1e6));
     });
   }
@@ -189,8 +190,10 @@ TEST(AshBatch, BatchChargesOneEntryAndClearPlusPerMessageRearm) {
   const AshStats& s = w.ash_b->stats(w.ash_id);
   ASSERT_EQ(s.commits, 4u);
 
+  // Keep the snapshot alive: `batch` points into it past the loop.
+  const std::vector<trace::Event> events = trace::global().all_events();
   const trace::Event* batch = nullptr;
-  for (const auto& ev : trace::global().all_events()) {
+  for (const auto& ev : events) {
     if (ev.type == trace::EventType::BatchDispatch) {
       ASSERT_EQ(batch, nullptr) << "expected exactly one batch";
       batch = &ev;

@@ -118,7 +118,7 @@ TEST(AshSystem, RemoteIncrementEndToEnd) {
     const int id =
         w.ash_b->download(self, remote_increment_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id, counter_addr);
+    w.ash_b->attach(*w.dev_b, vc, id, counter_addr);
     // The owner sleeps; the ASH handles everything in kernel context.
     co_await self.sleep_for(us(100000.0));
     EXPECT_EQ(w.ash_b->stats(id).invocations, 3u);
@@ -156,7 +156,7 @@ TEST(AshSystem, VoluntaryAbortFallsBackToNormalDelivery) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await w.dev_b->arrival_channel(vc).wait(self);
     EXPECT_TRUE(w.dev_b->poll(vc).has_value());  // delivered normally
     EXPECT_EQ(w.ash_b->stats(id).voluntary_aborts, 1u);
@@ -181,7 +181,7 @@ TEST(AshSystem, RunawayHandlerIsInvoluntarilyAborted) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await w.dev_b->arrival_channel(vc).wait(self);
     EXPECT_TRUE(w.dev_b->poll(vc).has_value());
     EXPECT_EQ(w.ash_b->stats(id).involuntary_aborts, 1u);
@@ -215,7 +215,7 @@ TEST(AshSystem, WildStoresCannotEscapeOwnerSegment) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
     EXPECT_EQ(w.ash_b->stats(id).commits, 1u);  // it ran...
   });
@@ -251,7 +251,7 @@ TEST(AshSystem, WildStoresCannotEscapeOwnerSegment) {
     std::string error;
     const int id = w2.ash_b->download(self, bld.take(), unsafe, &error);
     EXPECT_GE(id, 0) << error;
-    w2.ash_b->attach_an2(*w2.dev_b, vc, id);
+    w2.ash_b->attach(*w2.dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
   });
   w2.sim.queue().schedule_at(us(200.0), [&] {
@@ -305,7 +305,7 @@ TEST(AshSystem, DilpFromHandlerWithPersistentExchange) {
     std::string err2;
     const int id = w.ash_b->download(self, bld.take(), {}, &err2);
     EXPECT_GE(id, 0) << err2;
-    w.ash_b->attach_an2(*w.dev_b, vc, id, dst_addr);
+    w.ash_b->attach(*w.dev_b, vc, id, dst_addr);
     co_await self.sleep_for(us(50000.0));
   });
   w.sim.queue().schedule_at(us(200.0), [&] { w.dev_a->send(0, payload); });
@@ -333,7 +333,7 @@ TEST(AshSystem, LivelockQuotaDefersExcessMessages) {
     bld.halt();
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(50000.0));
     // 5 messages: 2 via the ASH, 3 deferred to normal delivery.
     EXPECT_EQ(w.ash_b->stats(id).commits, 2u);
@@ -375,8 +375,8 @@ TEST(AshSystem, LivelockQuotaIsSharedAcrossOneOwnersHandlers) {
     bld2.movi(kRegArg0, 1);
     bld2.halt();
     const int id1 = w.ash_b->download(self, bld2.take(), {}, &error);
-    w.ash_b->attach_an2(*w.dev_b, vc0, id0);
-    w.ash_b->attach_an2(*w.dev_b, vc1, id1);
+    w.ash_b->attach(*w.dev_b, vc0, id0);
+    w.ash_b->attach(*w.dev_b, vc1, id1);
     co_await self.sleep_for(us(50000.0));
 
     const auto& s0 = w.ash_b->stats(id0);
@@ -418,7 +418,7 @@ TEST(Upcall, HandlerRunsAndRepliesWithoutScheduling) {
   w.b->kernel().spawn("owner", [&](Process& self) -> Task {
     const int vc = w.dev_b->bind_vc(self);
     w.dev_b->supply_buffer(vc, self.segment().base, 64);
-    upcalls.attach_an2(*w.dev_b, vc, [&](const UpcallManager::Ctx& ctx) {
+    upcalls.attach(*w.dev_b, vc, [&](const UpcallManager::Ctx& ctx) {
       const std::uint8_t* msg = w.b->mem(ctx.msg_addr, ctx.msg_len);
       std::vector<std::uint8_t> reply(msg, msg + ctx.msg_len);
       reply[0] += 1;
@@ -457,9 +457,9 @@ TEST(AshSystem, AshFasterThanUpcallForRemoteIncrement) {
         std::string error;
         const int id =
             w.ash_b->download(self, remote_increment_ash(), {}, &error);
-        w.ash_b->attach_an2(*w.dev_b, vc, id, ctr);
+        w.ash_b->attach(*w.dev_b, vc, id, ctr);
       } else {
-        upcalls.attach_an2(*w.dev_b, vc, [&w, ctr](const UpcallManager::Ctx& ctx) {
+        upcalls.attach(*w.dev_b, vc, [&w, ctr](const UpcallManager::Ctx& ctx) {
           std::uint32_t v;
           std::memcpy(&v, w.b->mem(ctr, 4), 4);
           ++v;

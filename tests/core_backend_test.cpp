@@ -128,7 +128,7 @@ Snapshot run_scenario(const vcode::Program& prog, Backend be, int n_msgs,
     const int id = w.ash_b->download(self, prog, opts, &error);
     EXPECT_GE(id, 0) << error;
     EXPECT_EQ(w.ash_b->backend(id), be);
-    w.ash_b->attach_an2(*w.dev_b, vc, id, counter_addr);
+    w.ash_b->attach(*w.dev_b, vc, id, counter_addr);
     co_await self.sleep_for(us(400000.0));
     snap.backend = w.ash_b->backend(id);
     snap.stats = w.ash_b->stats(id);

@@ -255,7 +255,7 @@ TEST(TenantCycles, ExhaustedAccountDefersToNormalDelivery) {
     std::string error;
     const int id = ash.download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    ash.attach_an2(dev_b, vc, id);
+    ash.attach(dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
 
     // Run 1 spent the whole account; runs 2 and 3 were deferred at
@@ -338,7 +338,7 @@ TEST(TenantRevoke, MidBatchRevocationDrainsPendingCoalescedFrames) {
     std::string error;
     ash_id = ash.download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(ash_id, 0) << error;
-    ash.attach_an2(dev_b, vc, ash_id);
+    ash.attach(dev_b, vc, ash_id);
     co_await self.sleep_for(us(1e6));
   });
 

@@ -210,7 +210,7 @@ TEST(AshOptionsCoverage, SoftwareBudgetModeStopsRunaways) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), opts, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(50000.0));
     EXPECT_EQ(w.ash_b->stats(id).involuntary_aborts, 1u);
   });
@@ -232,7 +232,7 @@ TEST(AshOptionsCoverage, PreboundTranslationShavesDispatch) {
       std::string error;
       const int id = w.ash_b->download(
           self, ashlib::make_remote_increment(), opts, &error);
-      w.ash_b->attach_an2(*w.dev_b, vc, id, self.segment().base + 0x100);
+      w.ash_b->attach(*w.dev_b, vc, id, self.segment().base + 0x100);
       co_await self.sleep_for(us(50000.0));
     });
     w.sim.queue().schedule_at(us(200.0), [&] {
@@ -262,7 +262,7 @@ TEST(Livelock, WindowRefreshRestoresQuota) {
     bld.halt();
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(50000.0));
     // Two messages, >1 ms apart: both within quota (window refreshed).
     EXPECT_EQ(w.ash_b->stats(id).commits, 2u);

@@ -174,7 +174,7 @@ TEST(An2, KernelHookConsumesMessage) {
     const int vc = t.dev_b->bind_vc(self);
     t.dev_b->supply_buffer(vc, self.segment().base, 64);
     t.dev_b->set_kernel_hook(vc, [&](const An2Device::RxEvent& ev) {
-      EXPECT_EQ(ev.vc, 0);
+      EXPECT_EQ(ev.channel, 0);
       EXPECT_EQ(ev.desc.len, 4u);
       ++hook_runs;
       return true;  // consumed: no notification

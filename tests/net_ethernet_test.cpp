@@ -146,9 +146,9 @@ TEST(Ethernet, KernelHookSeesStripedBufferAndCanDestripe) {
     t.dev_b->set_kernel_hook(ep, [&, dst](const EthernetDevice::RxEvent& ev) {
       // The handler-directed single copy: striped kernel buffer -> app.
       const auto cycles = sim::memops::copy_destripe(
-          *t.b, dst, ev.striped.addr, ev.striped.len);
+          *t.b, dst, ev.desc.addr, ev.desc.len);
       t.b->kernel_work(cycles);
-      const std::uint8_t* p = t.b->mem(dst, ev.striped.len);
+      const std::uint8_t* p = t.b->mem(dst, ev.desc.len);
       ok = p[13] == 0x00 && p[14] == 0 && p[15] == 1 && p[63] == 49;
       return true;
     });

@@ -190,10 +190,10 @@ Delivered replay(const std::vector<CorpusMsg>& corpus,
         ctr_addr[v - kFirstAshVc] =
             self.segment().base + 0x80000 + 0x100u * (v - kFirstAshVc);
         const int id = v == kFirstAshVc ? id_inc : id_par;
-        // offload_an2 falls back to a plain host attach when no NIC is
+        // offload() falls back to a plain host attach when no NIC is
         // present — one code path for every case in the table.
         const bool res =
-            ash_sys.offload_an2(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
+            ash_sys.offload(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
         if (cfg.nic_units > 0) {
           EXPECT_EQ(res, !(cfg.tiny_window && v != kFirstAshVc))
               << cfg.name << " vc " << v;
@@ -324,16 +324,20 @@ TEST(OffloadDiff, CorpusDeliveryAndStatsIdenticalHostVsOffload) {
 }
 
 // ---------------------------------------------------------------------------
-// offload_eth end-to-end: the Ethernet device's DPF-demuxed receive path
-// drives the same NIC units as An2 (striped message access, device-framed
-// replies). A plain attach_eth run is ground truth: the counter, the
-// echoed-reply set at the sender, and the handler's outcome taxonomy must
-// match with every frame executing on-device in the offload run.
+// offload() on Ethernet end-to-end: the Ethernet device's DPF-demuxed
+// receive path drives the same NIC units as An2 (striped message access,
+// device-framed replies). A plain attach() run is ground truth: the
+// counter, the echoed-reply set at the sender, and the handler's outcome
+// taxonomy must match with every frame executing on-device in the offload
+// run.
 // ---------------------------------------------------------------------------
 
 struct EthRun {
   std::uint32_t counter = 0;
-  std::vector<std::uint64_t> replies;
+  // Sorted echoed replies as the client received them, and the sorted
+  // frames it sent: the handler echoes its message, so they must match.
+  std::vector<std::vector<std::uint8_t>> replies;
+  std::vector<std::vector<std::uint8_t>> sent;
   Taxonomy tax{};
   std::uint64_t nic_offered = 0, nic_executed = 0, nic_punted = 0;
   std::uint64_t nic_replies = 0;
@@ -375,9 +379,9 @@ EthRun replay_eth(bool offload) {
       nc.units_per_queue = 2;
       nic = std::make_unique<NicProcessor>(b, rxq, nc);
       dev_b.set_nic(nic.get());
-      EXPECT_TRUE(ash_sys.offload_eth(dev_b, ep, id, ctr_addr));
+      EXPECT_TRUE(ash_sys.offload(dev_b, ep, id, ctr_addr));
     } else {
-      ash_sys.attach_eth(dev_b, ep, id, ctr_addr);
+      ash_sys.attach(dev_b, ep, id, ctr_addr);
     }
     co_await self.sleep_for(us(1e6));
   });
@@ -409,10 +413,12 @@ EthRun replay_eth(bool offload) {
 
   EthRun out;
   while (const auto d = dev_a.poll(ep_a)) {
-    const std::uint8_t* p = d->len ? a.mem(d->addr, d->len) : nullptr;
-    out.replies.push_back(fnv1a(p, d->len));
+    const std::uint8_t* p = a.mem(d->addr, d->len);
+    out.replies.emplace_back(p, p + d->len);
   }
   std::sort(out.replies.begin(), out.replies.end());
+  out.sent = frames;
+  std::sort(out.sent.begin(), out.sent.end());
   const std::uint8_t* p = b.mem(ctr_addr, 4);
   out.counter = static_cast<std::uint32_t>(p[0]) |
                 (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -439,6 +445,12 @@ TEST(OffloadDiff, EthernetOffloadMatchesHostAttach) {
   EXPECT_EQ(host.tax.invocations, 24u);
   EXPECT_EQ(host.tax.commits, 24u);
   EXPECT_EQ(host.replies.size(), 24u);
+  // The echo is the logical frame, not the device's striped layout: a
+  // TSend from the message reads through the kernel's destriping view.
+  ASSERT_EQ(host.replies.size(), host.sent.size());
+  for (std::size_t i = 0; i < host.sent.size(); ++i) {
+    EXPECT_EQ(host.replies[i], host.sent[i]) << "reply " << i;
+  }
 
   const EthRun nic = replay_eth(true);
   EXPECT_EQ(nic.counter, host.counter);

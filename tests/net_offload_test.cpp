@@ -88,7 +88,6 @@ NicHook consume_hook(std::uint64_t* runs, sim::Cycles busy,
   return [runs, busy, replies](const RxFrame&, NicExecUnit& u) {
     if (runs != nullptr) ++*runs;
     NicExecResult r;
-    r.ran = true;
     r.consumed = true;
     r.replies = replies;
     r.charged = u.cost().dispatch + u.scale(busy);
@@ -100,7 +99,6 @@ NicHook consume_hook(std::uint64_t* runs, sim::Cycles busy,
 NicHook punt_hook(bool faulted) {
   return [faulted](const RxFrame&, NicExecUnit& u) {
     NicExecResult r;
-    r.ran = true;
     r.consumed = false;
     r.faulted = faulted;
     r.charged = u.cost().dispatch + u.cost().punt_handoff;

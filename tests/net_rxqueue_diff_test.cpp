@@ -5,7 +5,10 @@
 // per-channel counts, on both the plain notification-ring path and the
 // ASH-attached reply path — must be identical: no drop, no duplicate, no
 // corruption. Same seeds as the packetfuzz corpus targets (1001..1007
-// per-parser, 2001/4001/6001 the cross-target sweeps).
+// per-parser, 2001/4001/6001 the cross-target sweeps). The same corpus
+// also replays through an Ethernet pair, where DPF demuxes a tag byte to
+// the endpoints and every path ends in the kernel's destriping copy-out
+// or a handler reading the striped buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +18,9 @@
 
 #include "ashlib/handlers.hpp"
 #include "core/ash.hpp"
+#include "dpf/dpf.hpp"
 #include "net/an2.hpp"
+#include "net/ethernet.hpp"
 #include "net/rx_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
@@ -138,7 +143,7 @@ Delivered replay(const std::vector<CorpusMsg>& corpus,
       if (v >= kFirstAshVc) {
         ctr_addr[v - kFirstAshVc] =
             self.segment().base + 0x80000 + 0x100u * (v - kFirstAshVc);
-        ash_sys.attach_an2(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
+        ash_sys.attach(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
       }
     }
     co_await self.sleep_for(us(1e6));
@@ -232,6 +237,183 @@ TEST(RxQueueDiff, CorpusDeliverySetIsIdenticalAcrossConfigs) {
       EXPECT_EQ(got.fallback, base.fallback);
       EXPECT_EQ(got.counters[0], base.counters[0]);
       EXPECT_EQ(got.counters[1], base.counters[1]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ethernet leg: each corpus message becomes a frame — a 14-byte header, a
+// tag byte naming its endpoint (the VC index above: 0..3 ring endpoints,
+// 4..5 ASH endpoints), then the payload. The client demuxes the echoes by
+// the same tag. Both devices get enough kernel buffers that no receive
+// configuration drops a frame.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint16_t kEthType = 0x88b5;  // local experimental
+constexpr std::size_t kEthHeader = 14;
+constexpr std::uint32_t kEthBufBytes = 64;
+
+dpf::Filter tag_filter(int tag) {
+  dpf::Filter f;
+  f.atoms = {dpf::atom_be16(12, kEthType),
+             dpf::atom_u8(kEthHeader, static_cast<std::uint8_t>(tag))};
+  return f;
+}
+
+std::vector<std::uint8_t> tag_frame(const CorpusMsg& m) {
+  std::vector<std::uint8_t> f(kEthHeader + 1 + m.bytes.size(), 0);
+  f[12] = static_cast<std::uint8_t>(kEthType >> 8);
+  f[13] = static_cast<std::uint8_t>(kEthType & 0xff);
+  f[kEthHeader] = static_cast<std::uint8_t>(m.vc);
+  std::copy(m.bytes.begin(), m.bytes.end(), f.begin() + kEthHeader + 1);
+  return f;
+}
+
+/// The AshStats an equivalent run must reproduce exactly.
+struct EthStats {
+  std::uint64_t invocations, commits, vaborts, iaborts, insns, cycles;
+  bool operator==(const EthStats&) const = default;
+};
+
+Delivered replay_eth(const std::vector<CorpusMsg>& corpus,
+                     const RxConfigCase& cfg, EthStats* stats) {
+  Simulator sim;
+  Node& a = sim.add_node("client");
+  Node& b = sim.add_node("server");
+  EthernetConfig ec;
+  ec.rx_buffers = 160;  // > any corpus: no configuration drops a frame
+  EthernetDevice dev_a(a, ec), dev_b(b, ec);
+  dev_a.connect(dev_b);
+  core::AshSystem ash_sys(b);
+
+  std::unique_ptr<RxQueueSet> rxq;
+  if (cfg.queues > 0) {
+    RxQueueSet::Config qc;
+    qc.queues = cfg.queues;
+    qc.coalesce.enabled = cfg.coalesce;
+    qc.coalesce.max_frames = 4;
+    qc.coalesce.max_delay = us(30.0);
+    qc.coalesce.adaptive = cfg.adaptive;
+    rxq = std::make_unique<RxQueueSet>(b, qc);
+    dev_b.set_rx_queues(rxq.get());
+  }
+
+  int id = -1;
+  std::uint32_t ctr_addr[2] = {0, 0};
+  b.kernel().spawn("server", [&](Process& self) -> Task {
+    std::string error;
+    id = ash_sys.download(self, ashlib::make_remote_increment(), {}, &error);
+    EXPECT_GE(id, 0) << error;
+    for (int t = 0; t < kVcs; ++t) {
+      const int ep = dev_b.attach(self, tag_filter(t));
+      for (int i = 0; i < kBufsPerVc; ++i) {
+        dev_b.supply_buffer(
+            ep,
+            self.segment().base +
+                kEthBufBytes * static_cast<std::uint32_t>(t * kBufsPerVc + i),
+            kEthBufBytes);
+      }
+      if (t >= kFirstAshVc) {
+        ctr_addr[t - kFirstAshVc] =
+            self.segment().base + 0x80000 + 0x100u * (t - kFirstAshVc);
+        ash_sys.attach(dev_b, ep, id, ctr_addr[t - kFirstAshVc]);
+      }
+    }
+    co_await self.sleep_for(us(1e6));
+  });
+
+  a.kernel().spawn("client", [&](Process& self) -> Task {
+    for (int t = 0; t < kVcs; ++t) {
+      const int ep = dev_a.attach(self, tag_filter(t));
+      if (t < kFirstAshVc) continue;
+      for (int i = 0; i < kBufsPerVc; ++i) {
+        dev_a.supply_buffer(
+            ep,
+            self.segment().base +
+                kEthBufBytes * static_cast<std::uint32_t>(t * kBufsPerVc + i),
+            kEthBufBytes);
+      }
+    }
+    co_await self.sleep_for(us(1e6));
+  });
+
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const CorpusMsg& m : corpus) frames.push_back(tag_frame(m));
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    sim.queue().schedule_at(corpus[i].at, [&dev_a, &frames, i] {
+      ASSERT_TRUE(dev_a.send(frames[i]));
+    });
+  }
+  sim.run(us(50000.0));
+
+  EXPECT_EQ(dev_b.drops(), 0u) << cfg.name << " server";
+  EXPECT_EQ(dev_a.drops(), 0u) << cfg.name << " client";
+  EXPECT_EQ(dev_b.unmatched(), 0u) << cfg.name << " server";
+  EXPECT_EQ(dev_b.kernel_bufs_in_use(), 0u) << cfg.name << " server";
+  EXPECT_EQ(dev_a.kernel_bufs_in_use(), 0u) << cfg.name << " client";
+  Delivered out;
+  for (int t = 0; t < kVcs; ++t) {
+    while (const auto d = dev_b.poll(t)) {
+      const std::uint64_t h = fnv1a(b.mem(d->addr, d->len), d->len);
+      (t >= kFirstAshVc ? out.fallback[t] : out.ring[t]).push_back(h);
+    }
+    while (const auto d = dev_a.poll(t)) {
+      out.replies[t].push_back(fnv1a(a.mem(d->addr, d->len), d->len));
+    }
+  }
+  for (int i = 0; i < 2; ++i) {
+    const std::uint8_t* p = b.mem(ctr_addr[i], 4);
+    out.counters[i] = static_cast<std::uint32_t>(p[0]) |
+                      (static_cast<std::uint32_t>(p[1]) << 8) |
+                      (static_cast<std::uint32_t>(p[2]) << 16) |
+                      (static_cast<std::uint32_t>(p[3]) << 24);
+  }
+  for (auto* m : {&out.ring, &out.replies, &out.fallback}) {
+    for (auto& [ep, v] : *m) std::sort(v.begin(), v.end());
+  }
+  const core::AshStats& s = ash_sys.stats(id);
+  *stats = EthStats{s.invocations,        s.commits, s.voluntary_aborts,
+                    s.involuntary_aborts, s.insns,   s.cycles};
+  return out;
+}
+
+TEST(RxQueueDiff, EthernetCorpusDeliverySetIsIdenticalAcrossConfigs) {
+  const std::uint64_t seeds[] = {1001, 1002, 1003, 1004, 1005,
+                                 1006, 1007, 2001, 4001, 6001};
+  for (const std::uint64_t seed : seeds) {
+    const auto corpus = make_corpus(seed);
+    // Ring endpoints deliver the whole frame; every ASH frame is echoed
+    // back whole (the handler reads the striped buffer logically).
+    std::map<int, std::vector<std::uint64_t>> want_ring, want_replies;
+    for (const auto& m : corpus) {
+      const std::vector<std::uint8_t> f = tag_frame(m);
+      (m.vc < kFirstAshVc ? want_ring : want_replies)[m.vc].push_back(
+          fnv1a(f.data(), f.size()));
+    }
+    for (auto* m : {&want_ring, &want_replies}) {
+      for (auto& [ep, v] : *m) std::sort(v.begin(), v.end());
+    }
+
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    EthStats base_stats{};
+    const Delivered base = replay_eth(corpus, kCases[0], &base_stats);
+    EXPECT_EQ(base.ring, want_ring);
+    EXPECT_EQ(base.replies, want_replies);
+    EXPECT_TRUE(base.fallback.empty());
+    EXPECT_EQ(base_stats.invocations, base_stats.commits);
+    EXPECT_EQ(static_cast<std::size_t>(base.counters[0] + base.counters[1]),
+              base_stats.commits);
+
+    for (std::size_t c = 1; c < std::size(kCases); ++c) {
+      SCOPED_TRACE(::testing::Message() << "config=" << kCases[c].name);
+      EthStats got_stats{};
+      const Delivered got = replay_eth(corpus, kCases[c], &got_stats);
+      EXPECT_EQ(got.ring, base.ring);
+      EXPECT_EQ(got.replies, base.replies);
+      EXPECT_EQ(got.fallback, base.fallback);
+      EXPECT_EQ(got.counters[0], base.counters[0]);
+      EXPECT_EQ(got.counters[1], base.counters[1]);
+      EXPECT_EQ(got_stats, base_stats);
     }
   }
 }

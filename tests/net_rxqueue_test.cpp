@@ -334,7 +334,7 @@ ReplyTrace run_remote_increment(bool queued, int messages) {
       dev_b.supply_buffer(vc, self.segment().base + 64u * i, 64);
     }
     ctr_addr = self.segment().base + 0x80000;
-    ash_sys.attach_an2(dev_b, vc, id, ctr_addr);
+    ash_sys.attach(dev_b, vc, id, ctr_addr);
     co_await self.sleep_for(us(1e6));
   });
 

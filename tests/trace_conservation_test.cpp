@@ -143,8 +143,8 @@ void run_corpus_seed(std::uint64_t seed, int messages = 40) {
         ashsys.download(self, always_faulting_ash(), unsafe, &error);
     EXPECT_GE(bad, 0) << error;
     if (good < 0 || bad < 0) co_return;
-    ashsys.attach_an2(dev_b, vc_good, good, counter);
-    ashsys.attach_an2(dev_b, vc_bad, bad, 0);
+    ashsys.attach(dev_b, vc_good, good, counter);
+    ashsys.attach(dev_b, vc_bad, bad, 0);
     co_await self.sleep_for(us(1.0e6));
     // Drain anything the handlers declined into the normal path.
     while (dev_b.poll(vc_good).has_value()) {

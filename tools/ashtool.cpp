@@ -422,9 +422,9 @@ int cmd_queues(const std::string& file, int msgs, const std::string& mode,
                 64);
           }
           if (offload) {
-            ashsys.offload_an2(dev_s, vc, id, scratch);
+            ashsys.offload(dev_s, vc, id, scratch);
           } else {
-            ashsys.attach_an2(dev_s, vc, id, scratch);
+            ashsys.attach(dev_s, vc, id, scratch);
           }
         }
         co_await self.sleep_for(ash::sim::us(1e6));
