@@ -29,13 +29,13 @@ void trace_denied(sim::Node& node, std::uint16_t cpu_id, int ash_id,
 
 /// The message a port frame presents to its handler: the port's logical
 /// view (stripe geometry resolved by AshEnv), replying on its channel.
-MsgContext port_msg(const net::RxPort& port, int channel, net::RxDesc desc,
+MsgContext port_msg(const net::RxPort& port, const net::RxFrame& frame,
                     std::uint32_t user_arg) {
   MsgContext msg;
-  msg.addr = desc.addr;
-  msg.len = desc.len;
+  msg.addr = frame.addr;
+  msg.len = frame.len;
   msg.stripe_chunk = port.stripe_chunk();
-  msg.channel = channel;
+  msg.channel = frame.channel;
   msg.user_arg = user_arg;
   return msg;
 }
@@ -620,20 +620,20 @@ void AshSystem::attach(net::RxPort& port, int channel, int ash_id,
   net::RxPort* p = &port;
   port.set_kernel_batch_hook(
       channel, [this, p, ash_id, user_arg](
-                   std::span<const net::RxPort::RxEvent> evs,
+                   std::span<const net::RxFrame> frames,
                    const sim::KernelCpu& cpu, bool* consumed) {
         // A batch of one (every inline arrival) stays on the stack.
         MsgContext one;
         std::vector<MsgContext> many;
         MsgContext* msgs = &one;
-        if (evs.size() > 1) {
-          many.resize(evs.size());
+        if (frames.size() > 1) {
+          many.resize(frames.size());
           msgs = many.data();
         }
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-          msgs[i] = port_msg(*p, evs[i].channel, evs[i].desc, user_arg);
+        for (std::size_t i = 0; i < frames.size(); ++i) {
+          msgs[i] = port_msg(*p, frames[i], user_arg);
         }
-        dispatch(ash_id, {msgs, evs.size()}, port_send(p),
+        dispatch(ash_id, {msgs, frames.size()}, port_send(p),
                  p->tx_kernel_work(), ChargePolicy::host(cpu), consumed);
       });
 }
@@ -657,8 +657,7 @@ bool AshSystem::offload(net::RxPort& port, int channel, int ash_id,
       &port, channel, nic_footprint(ash_id),
       [this, p, ash_id, user_arg](const net::RxFrame& f,
                                   net::NicExecUnit& unit) {
-        const MsgContext msg =
-            port_msg(*p, f.channel, net::RxDesc{f.addr, f.len}, user_arg);
+        const MsgContext msg = port_msg(*p, f, user_arg);
         bool consumed = false;
         const DispatchResult r =
             dispatch(ash_id, {&msg, 1}, port_send(p), p->tx_kernel_work(),

@@ -103,13 +103,18 @@ bool AshEnv::t_msglen(std::uint32_t* len_out, std::uint64_t* cycles) {
 bool AshEnv::t_send(std::uint32_t chan, std::uint32_t addr, std::uint32_t len,
                     std::uint32_t* status, std::uint64_t* cycles) {
   *cycles = cfg_.tx_cost;
+  // `len` is the handler's: range-check before sizing the snapshot.
+  if (!readable(addr, len)) {
+    *status = 1;  // bad range: the call fails, the handler decides
+    return true;
+  }
   // Snapshot now (the handler may overwrite the buffer afterwards); the
   // wire transmission is released at handler completion. The snapshot
   // reads through the logical view, so a send from a striped message
   // carries its bytes, not the device's layout.
   std::vector<std::uint8_t> bytes(len);
   if (!mem_read(addr, bytes.data(), len)) {
-    *status = 1;  // bad range: the call fails, the handler decides
+    *status = 1;  // unbacked memory
     return true;
   }
   sends_.push_back(SendReq{static_cast<int>(chan), std::move(bytes)});

@@ -176,11 +176,18 @@ bool An2Device::post(const RxFrame& frame, const sim::KernelCpu& cpu) {
   return true;
 }
 
-void An2Device::wake_declined(int vc, const sim::KernelCpu& cpu) {
-  // A declined frame was already paid for by the hook path's driver
-  // pass: the owner is notified (boosted) with no separate wakeup charge.
-  (void)cpu;
-  chan(vc).arrival.notify(/*boost=*/true);
+void An2Device::wake_owner(int vc, const sim::KernelCpu& cpu, bool posted,
+                           bool ring_batch) {
+  if (ring_batch) {
+    // The board's ring path wakes once per batch; a per-frame hook in
+    // front of it only filters, so the wake stands even if it consumed
+    // every frame.
+    wake(vc, cpu);
+  } else if (posted) {
+    // A frame the hook path declined was already paid for by its driver
+    // pass: the owner is notified (boosted) with no wakeup charge.
+    chan(vc).arrival.notify(/*boost=*/true);
+  }
 }
 
 }  // namespace ash::net

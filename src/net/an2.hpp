@@ -108,7 +108,8 @@ class An2Device final : public RxPort {
   void deliver(int vc, std::vector<std::uint8_t> bytes);
   void recycle(const RxFrame& frame) override;
   bool post(const RxFrame& frame, const sim::KernelCpu& cpu) override;
-  void wake_declined(int vc, const sim::KernelCpu& cpu) override;
+  void wake_owner(int vc, const sim::KernelCpu& cpu, bool posted,
+                  bool ring_batch) override;
 
   An2Config config_;
   An2Device* peer_ = nullptr;

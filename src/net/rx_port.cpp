@@ -96,7 +96,8 @@ void RxPort::steer(RxFrame frame) {
   const bool attached = chan(frame.channel).hooked();
   node_.kernel_work(node_.cost().interrupt_entry + frame.driver_cycles,
                     [this, frame, attached] {
-                      complete({&frame, 1}, sim::KernelCpu(node_), attached);
+                      complete({&frame, 1}, sim::KernelCpu(node_), attached,
+                               /*queued=*/false);
                     });
 }
 
@@ -106,13 +107,15 @@ void RxPort::rx_batch(std::span<const RxFrame> frames,
   // The queue groups by (sink, channel). Hooks are re-checked here, at
   // delivery time: the supervisor may have revoked one while the batch
   // sat in the queue.
-  complete(frames, cpu, chan(frames.front().channel).hooked());
+  complete(frames, cpu, chan(frames.front().channel).hooked(),
+           /*queued=*/true);
 }
 
 void RxPort::complete(std::span<const RxFrame> frames,
-                      const sim::KernelCpu& cpu, bool attached) {
+                      const sim::KernelCpu& cpu, bool attached, bool queued) {
   const int ch = frames.front().channel;
   Channel& c = chan(ch);
+  const bool batch_form = static_cast<bool>(c.batch_hook);
   bool posted = false;
   const auto settle = [&](const RxFrame& f, bool consumed) {
     if (consumed) {
@@ -122,28 +125,20 @@ void RxPort::complete(std::span<const RxFrame> frames,
     }
   };
 
-  if (c.batch_hook) {
-    // A batch of one (every inline arrival) runs off the stack; only a
-    // coalesced batch allocates its event and consumed arrays.
-    const std::size_t n = frames.size();
-    RxEvent one{};
-    bool one_consumed = false;
-    std::unique_ptr<RxEvent[]> many;
-    std::unique_ptr<bool[]> many_consumed;
-    RxEvent* evs = &one;
-    bool* consumed = &one_consumed;
-    if (n > 1) {
-      many.reset(new RxEvent[n]());
-      many_consumed.reset(new bool[n]());
-      evs = many.get();
-      consumed = many_consumed.get();
+  if (batch_form) {
+    // A batch of one (every inline arrival) keeps its flag on the stack;
+    // only a coalesced batch allocates.
+    bool one = false;
+    std::unique_ptr<bool[]> many;
+    bool* consumed = &one;
+    if (frames.size() > 1) {
+      many.reset(new bool[frames.size()]());
+      consumed = many.get();
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      evs[i] = RxEvent{ch, RxDesc{frames[i].addr, frames[i].len},
-                       frames[i].owner};
+    c.batch_hook(frames, cpu, consumed);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      settle(frames[i], consumed[i]);
     }
-    c.batch_hook({evs, n}, cpu, consumed);
-    for (std::size_t i = 0; i < n; ++i) settle(frames[i], consumed[i]);
   } else {
     // Per-frame form (or no hook): each frame settles before the next
     // runs, so a copy-out's cache and CPU effects precede the next hook.
@@ -153,13 +148,8 @@ void RxPort::complete(std::span<const RxFrame> frames,
     }
   }
 
-  if (!posted) return;
   // One wake per run (vs one per frame when each arrives alone).
-  if (attached) {
-    wake_declined(ch, cpu);
-  } else {
-    wake(ch, cpu);
-  }
+  wake_owner(ch, cpu, posted, queued && !batch_form);
 }
 
 bool RxPort::fall_back(const RxFrame& frame, const sim::KernelCpu& cpu) {
@@ -202,7 +192,8 @@ void RxPort::nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) {
   const sim::Cycles host_pass =
       cpu.node().cost().interrupt_entry + frame.driver_cycles;
   cpu.kernel_work(host_pass, [this, frame, cpu] {
-    if (fall_back(frame, cpu)) wake_declined(frame.channel, cpu);
+    wake_owner(frame.channel, cpu, fall_back(frame, cpu),
+               /*ring_batch=*/false);
   });
 }
 

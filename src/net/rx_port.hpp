@@ -54,8 +54,8 @@ class RxPort : public RxSink {
   RxPort(const RxPort&) = delete;
   RxPort& operator=(const RxPort&) = delete;
 
-  /// Event delivered to a kernel receive hook (the ASH attachment point).
-  /// `desc` is the message as the device laid it out: on a striped port
+  /// Event delivered to a per-frame kernel receive hook. `desc` is the
+  /// message as the device laid it out: on a striped port
   /// (stripe_chunk() != 0) it points at the striped kernel buffer and
   /// `len` is the logical frame length.
   struct RxEvent {
@@ -66,11 +66,13 @@ class RxPort : public RxSink {
   /// Runs in kernel context once the frame's driver pass is done. Return
   /// true if the message was consumed; false falls back to the owner.
   using KernelHook = std::function<bool(const RxEvent&)>;
-  /// Batch form: all events share one channel; the hook sets consumed[i]
-  /// per message (unset entries fall back) and charges its own execution
-  /// on `cpu` — the node's main CPU inline, the queue's CPU otherwise.
+  /// Batch form (the ASH attachment point): the frames share one channel
+  /// and carry the same layout as RxEvent::desc in `addr`/`len`. The hook
+  /// sets consumed[i] per message (unset entries fall back) and charges
+  /// its own execution on `cpu` — the node's main CPU inline, the queue's
+  /// CPU otherwise.
   using KernelBatchHook = std::function<void(
-      std::span<const RxEvent>, const sim::KernelCpu& cpu, bool* consumed)>;
+      std::span<const RxFrame>, const sim::KernelCpu& cpu, bool* consumed)>;
 
   sim::Node& node() noexcept { return node_; }
 
@@ -185,10 +187,14 @@ class RxPort : public RxSink {
   /// Hand a frame no hook consumed to its owner's notification ring,
   /// charging any copy on `cpu`. false: it was dropped (and recycled).
   virtual bool post(const RxFrame& frame, const sim::KernelCpu& cpu) = 0;
-  /// Wake the owner after an attached channel's hook declined frames.
-  /// Default: the normal wake().
-  virtual void wake_declined(int channel, const sim::KernelCpu& cpu) {
-    wake(channel, cpu);
+  /// Wake the owner once a run has settled. `posted`: some frame reached
+  /// the owner. `ring_batch`: the run was a fired queue batch that took
+  /// the per-frame path (a per-frame hook, or none). Default: the normal
+  /// wake() if a frame was posted.
+  virtual void wake_owner(int channel, const sim::KernelCpu& cpu,
+                          bool posted, bool ring_batch) {
+    (void)ring_batch;
+    if (posted) wake(channel, cpu);
   }
   /// The normal wake: in interrupt mode charge `wakeup` on `cpu` and
   /// notify when it completes; otherwise post a token (no CPU work).
@@ -202,9 +208,10 @@ class RxPort : public RxSink {
   /// Offer a same-channel run to its hook on `cpu`, then hand what it did
   /// not consume to the owner and wake it once. `attached`: the frames
   /// took the hook path (decided at arrival inline, at the batch fire for
-  /// queues), so unconsumed ones are traced fallbacks.
+  /// queues), so unconsumed ones are traced fallbacks. `queued`: the run
+  /// is a fired RX queue batch rather than an inline arrival.
   void complete(std::span<const RxFrame> frames, const sim::KernelCpu& cpu,
-                bool attached);
+                bool attached, bool queued);
   /// One unconsumed frame of an attached channel: trace, then post.
   bool fall_back(const RxFrame& frame, const sim::KernelCpu& cpu);
 

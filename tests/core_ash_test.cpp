@@ -410,6 +410,78 @@ TEST(AshSystem, InvalidIdFallsBackInsteadOfThrowing) {
   EXPECT_EQ(w.ash_b->handler_count(), 0u);
 }
 
+// A TSend length is handler-controlled and the default verify policy does
+// not bound it: the kernel must range-check it before sizing the reply
+// snapshot, or a 4 GiB length makes it zero-fill 4 GiB on every call.
+TEST(AshEnvRegression, HugeTSendLengthFailsWithStatusOne) {
+  for (const std::uint32_t stripe : {0u, 16u}) {
+    Simulator s;
+    Node& node = s.add_node("n");
+    AshEnv::Config ec;
+    ec.node = &node;
+    ec.owner_seg = {0x100000, 0x10000};
+    ec.msg_addr = 0x108000;
+    ec.msg_len = 64;
+    ec.stripe_chunk = stripe;
+    ec.tx_cost = 7;
+    AshEnv env(ec);
+    for (const std::uint32_t addr : {ec.msg_addr, ec.owner_seg.base}) {
+      std::uint32_t status = 0;
+      std::uint64_t cycles = 0;
+      EXPECT_TRUE(env.t_send(0, addr, 0xFFFFFFFFu, &status, &cycles));
+      EXPECT_EQ(status, 1u) << "stripe " << stripe << " addr " << addr;
+      EXPECT_EQ(cycles, 7u);
+    }
+    EXPECT_TRUE(env.take_sends().empty());
+  }
+
+  // End to end on both engines: the handler sees status 1, commits, and
+  // nothing goes on the wire.
+  for (const vcode::Backend backend :
+       {vcode::Backend::Interp, vcode::Backend::Jit}) {
+    AshWorld w;
+    int frames_back = 0;
+    w.a->kernel().spawn("peer", [&](Process& self) -> Task {
+      const int vc = w.dev_a->bind_vc(self);
+      w.dev_a->supply_buffer(vc, self.segment().base, 64);
+      co_await self.sleep_for(us(20000.0));
+      while (w.dev_a->poll(vc)) ++frames_back;
+    });
+    std::uint32_t status_addr = 0;
+    int id = -1;
+    w.b->kernel().spawn("owner", [&](Process& self) -> Task {
+      const int vc = w.dev_b->bind_vc(self);
+      w.dev_b->supply_buffer(vc, self.segment().base, 64);
+      status_addr = self.segment().base + 0x1000;
+      Builder bld;
+      const Reg len = bld.reg();
+      bld.movi(len, 0xFFFFFFFFu);
+      bld.t_send(kRegArg3, kRegArg0, len);
+      bld.sw(kRegArg0, kRegArg2, 0);  // the call's status
+      bld.movi(kRegArg0, 1);
+      bld.halt();
+      AshOptions opts;
+      opts.backend = backend;
+      std::string error;
+      id = w.ash_b->download(self, bld.take(), opts, &error);
+      EXPECT_GE(id, 0) << error;
+      w.ash_b->attach(*w.dev_b, vc, id, status_addr);
+      co_await self.sleep_for(us(20000.0));
+    });
+    w.sim.queue().schedule_at(us(200.0), [&] {
+      const std::uint8_t m[] = {1, 2, 3, 4};
+      w.dev_a->send(0, m);
+    });
+    w.sim.run();
+    ASSERT_GE(id, 0);
+    EXPECT_EQ(w.ash_b->stats(id).commits, 1u);
+    std::uint32_t status = 0;
+    std::memcpy(&status, w.b->mem(status_addr, 4), 4);
+    EXPECT_EQ(status, 1u);
+    EXPECT_EQ(frames_back, 0);
+  }
+}
+
 TEST(Upcall, HandlerRunsAndRepliesWithoutScheduling) {
   AshWorld w;
   UpcallManager upcalls(*w.b);

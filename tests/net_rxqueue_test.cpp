@@ -520,10 +520,10 @@ TEST(RxQueue, EthernetBatchHookConsumesAndDeclinedFramesFallBack) {
     // Kernel batch hook that consumes every other frame; declined frames
     // must take the default copy-out and surface on the notify ring.
     dev_b.set_kernel_batch_hook(
-        ep, [&](std::span<const EthernetDevice::RxEvent> evs,
-                const KernelCpu& cpu, bool* consumed) {
+        ep, [&](std::span<const RxFrame> frames, const KernelCpu& cpu,
+                bool* consumed) {
           (void)cpu;
-          for (std::size_t i = 0; i < evs.size(); ++i) {
+          for (std::size_t i = 0; i < frames.size(); ++i) {
             ++seen_by_hook;
             consumed[i] = (i % 2) == 0;
             if (consumed[i]) ++consumed_total;
@@ -546,6 +546,88 @@ TEST(RxQueue, EthernetBatchHookConsumesAndDeclinedFramesFallBack) {
   EXPECT_GT(got_fallback, 0);
   EXPECT_EQ(got_fallback, 6 - consumed_total);
   EXPECT_EQ(dev_b.drops(), 0u);
+}
+
+// ------------------------------------------- AN2 per-frame hook, queued
+
+enum class Filter { None, ConsumeNone, ConsumeOdd, ConsumeAll };
+
+struct RingBatchRun {
+  Cycles queue_cycles = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t wakes = 0;
+  int delivered = 0;
+};
+
+/// Four frames (lengths 8..11) to an interrupt-mode AN2 VC behind one
+/// coalescing queue, with an optional per-frame hook (the form
+/// UpcallManager installs) that charges nothing itself.
+RingBatchRun run_an2_ring_batch(Filter filter) {
+  Simulator sim;
+  Node& a = sim.add_node("a");
+  Node& b = sim.add_node("b");
+  An2Device dev_a(a), dev_b(b);
+  dev_a.connect(dev_b);
+
+  RxQueueSet::Config qc;
+  qc.queues = 1;
+  qc.coalesce.enabled = true;
+  qc.coalesce.max_frames = 4;
+  qc.coalesce.max_delay = us(500.0);
+  RxQueueSet rxq(b, qc);
+  dev_b.set_rx_queues(&rxq);
+
+  RingBatchRun out;
+  int vc = -1;
+  b.kernel().spawn("owner", [&](Process& self) -> Task {
+    vc = dev_b.bind_vc(self);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      dev_b.supply_buffer(vc, self.segment().base + 64u * i, 64);
+    }
+    dev_b.set_interrupt_mode(vc, true);
+    if (filter != Filter::None) {
+      dev_b.set_kernel_hook(vc, [filter](const An2Device::RxEvent& ev) {
+        return filter == Filter::ConsumeAll ||
+               (filter == Filter::ConsumeOdd && ev.desc.len % 2 == 1);
+      });
+    }
+    co_await self.sleep_for(us(20000.0));
+    while (dev_b.poll(vc).has_value()) ++out.delivered;
+  });
+  sim.queue().schedule_at(us(100.0), [&] {
+    const std::uint8_t bytes[11] = {};
+    for (std::size_t len = 8; len <= 11; ++len) dev_a.send(0, {bytes, len});
+  });
+  sim.run();
+
+  out.queue_cycles = rxq.queue(0).cpu().kernel_cycles_total();
+  out.batches = rxq.queue(0).batches();
+  out.wakes = dev_b.arrival_channel(vc).tokens();
+  return out;
+}
+
+TEST(RxQueue, An2PerFrameHookBatchWakesOncePerBatchLikeTheRingPath) {
+  // The hook filters in front of the board's ring path, which wakes the
+  // owner once per fired batch — charging `wakeup` in interrupt mode —
+  // whether the hook consumed none, some or all of the frames.
+  const RingBatchRun ring = run_an2_ring_batch(Filter::None);
+  ASSERT_EQ(ring.delivered, 4);
+  ASSERT_GE(ring.batches, 1u);
+  EXPECT_EQ(ring.wakes, ring.batches);
+  const struct {
+    Filter filter;
+    int delivered;
+  } cases[] = {{Filter::ConsumeNone, 4},
+               {Filter::ConsumeOdd, 2},
+               {Filter::ConsumeAll, 0}};
+  for (const auto& c : cases) {
+    const RingBatchRun r = run_an2_ring_batch(c.filter);
+    const int which = static_cast<int>(c.filter);
+    EXPECT_EQ(r.delivered, c.delivered) << which;
+    EXPECT_EQ(r.batches, ring.batches) << which;
+    EXPECT_EQ(r.wakes, ring.wakes) << which;
+    EXPECT_EQ(r.queue_cycles, ring.queue_cycles) << which;
+  }
 }
 
 }  // namespace
