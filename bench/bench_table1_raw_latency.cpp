@@ -120,14 +120,8 @@ double user_level_ethernet() {
                                 node->cost().an2_user_send_overhead);
           dev->send(frame);
         }
-        for (;;) {
-          if (auto d = dev->poll(ep)) {
-            co_await self.compute(node->cost().an2_user_recv_overhead);
-            dev->return_buffer(ep, d->addr, 128);
-            break;
-          }
-          co_await self.compute(node->cost().poll_iteration);
-        }
+        const auto d = co_await dev->recv_until(self, ep, sim::kNever);
+        dev->return_buffer(ep, d->addr, 128);
         if (!client) {
           co_await self.syscall(dev->config().tx_kernel_work +
                                 node->cost().an2_user_send_overhead);

@@ -78,10 +78,10 @@ double rtt_us(Mode mode, bool suspended) {
     if (suspended) {
       co_await self.sleep_for(us(1e6));
     } else {
-      for (;;) {
-        co_await self.compute(self.node().cost().poll_iteration);
-        if (self.node().now() > sim::us(9e5)) break;
-      }
+      // Spin (empty poll iterations) until past 900 ms.
+      do {
+        co_await self.poll_idle(sim::us(9e5) + 1);
+      } while (self.node().now() <= sim::us(9e5));
     }
   });
 

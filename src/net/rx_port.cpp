@@ -47,6 +47,26 @@ std::optional<RxDesc> RxPort::poll(int channel) {
   return d;
 }
 
+sim::Sub<std::optional<RxDesc>> RxPort::recv_until(sim::Process& self,
+                                                   int channel,
+                                                   sim::Cycles deadline) {
+  for (;;) {
+    if (auto d = poll(channel)) {
+      co_await self.compute(node_.cost().an2_user_recv_overhead);
+      co_return d;
+    }
+    if (node_.now() >= deadline) co_return std::nullopt;
+    Channel& c = chan(channel);
+    if (!c.interrupt_mode) {
+      co_await self.poll_idle(deadline);
+    } else if (deadline == sim::kNever) {
+      co_await c.arrival.wait(self);
+    } else if (!co_await c.arrival.wait_for(self, deadline - node_.now())) {
+      co_return std::nullopt;
+    }
+  }
+}
+
 sim::WaitChannel& RxPort::arrival_channel(int channel) {
   return chan_at(channel).arrival;
 }

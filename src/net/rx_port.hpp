@@ -103,8 +103,20 @@ class RxPort : public RxSink {
   /// and charge the receive-processing overhead INSTEAD of — never in
   /// addition to — a poll_iteration on the iteration that finds a frame.
   /// A frame arriving mid-iteration is discovered by the next check at no
-  /// extra poll charge; pinned by tests/net_poll_charge_test.cpp.
+  /// extra poll charge; pinned by tests/net_poll_charge_test.cpp. A loop
+  /// may charge its empty iterations with Process::poll_idle, which
+  /// charges them exactly as one compute(poll_iteration) each.
   std::optional<RxDesc> poll(int channel);
+
+  /// The receive loop both links share, run by the channel's owner
+  /// `self`: check the ring; on a hit charge an2_user_recv_overhead and
+  /// return the frame; once now >= `deadline` return nullopt; otherwise
+  /// wait — poll_idle(deadline) in polling mode, or block on the arrival
+  /// channel in interrupt mode (timed unless `deadline` is sim::kNever) —
+  /// and check again.
+  sim::Sub<std::optional<RxDesc>> recv_until(sim::Process& self,
+                                             int channel,
+                                             sim::Cycles deadline);
 
   /// Channel notified on arrivals (token semantics).
   sim::WaitChannel& arrival_channel(int channel);

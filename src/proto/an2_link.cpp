@@ -44,36 +44,11 @@ void An2Link::set_mode(RecvMode mode) {
 }
 
 sim::Sub<net::RxDesc> An2Link::recv() {
-  for (;;) {
-    if (auto d = dev_.poll(vc_)) {
-      co_await self_.compute(self_.node().cost().an2_user_recv_overhead);
-      co_return *d;
-    }
-    if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
-    } else {
-      co_await dev_.arrival_channel(vc_).wait(self_);
-    }
-  }
+  co_return *co_await dev_.recv_until(self_, vc_, sim::kNever);
 }
 
 sim::Sub<std::optional<net::RxDesc>> An2Link::recv_for(sim::Cycles timeout) {
-  const sim::Cycles deadline = self_.node().now() + timeout;
-  for (;;) {
-    if (auto d = dev_.poll(vc_)) {
-      co_await self_.compute(self_.node().cost().an2_user_recv_overhead);
-      co_return d;
-    }
-    if (self_.node().now() >= deadline) co_return std::nullopt;
-    if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
-    } else {
-      const sim::Cycles left = deadline - self_.node().now();
-      const bool got_token =
-          co_await dev_.arrival_channel(vc_).wait_for(self_, left);
-      if (!got_token) co_return std::nullopt;
-    }
-  }
+  return dev_.recv_until(self_, vc_, self_.node().now() + timeout);
 }
 
 void An2Link::release(const net::RxDesc& d) {

@@ -66,7 +66,7 @@ sim::Sub<std::optional<ArpPacket>> ArpService::process_one(
     const auto d = dev_.poll(endpoint_);
     if (!d.has_value()) {
       if (node.now() >= deadline) co_return std::nullopt;
-      co_await self_.compute(node.cost().poll_iteration);
+      co_await self_.poll_idle(deadline);
       continue;
     }
     const std::uint8_t* p = node.mem(d->addr, d->len);

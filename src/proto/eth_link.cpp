@@ -33,36 +33,11 @@ EthLink::EthLink(sim::Process& self, net::EthernetDevice& dev,
 }
 
 sim::Sub<net::RxDesc> EthLink::recv() {
-  for (;;) {
-    if (auto d = dev_.poll(endpoint_)) {
-      co_await self_.compute(self_.node().cost().an2_user_recv_overhead);
-      co_return *d;
-    }
-    if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
-    } else {
-      co_await dev_.arrival_channel(endpoint_).wait(self_);
-    }
-  }
+  co_return *co_await dev_.recv_until(self_, endpoint_, sim::kNever);
 }
 
 sim::Sub<std::optional<net::RxDesc>> EthLink::recv_for(sim::Cycles timeout) {
-  const sim::Cycles deadline = self_.node().now() + timeout;
-  for (;;) {
-    if (auto d = dev_.poll(endpoint_)) {
-      co_await self_.compute(self_.node().cost().an2_user_recv_overhead);
-      co_return d;
-    }
-    if (self_.node().now() >= deadline) co_return std::nullopt;
-    if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
-    } else {
-      const sim::Cycles left = deadline - self_.node().now();
-      const bool got_token =
-          co_await dev_.arrival_channel(endpoint_).wait_for(self_, left);
-      if (!got_token) co_return std::nullopt;
-    }
-  }
+  return dev_.recv_until(self_, endpoint_, self_.node().now() + timeout);
 }
 
 void EthLink::release(const net::RxDesc& d) {

@@ -369,6 +369,12 @@ sim::Sub<bool> TcpConnection::service_timers() {
   co_return true;
 }
 
+sim::Process::PollIdle TcpConnection::poll_idle() {
+  // The next check that could differ from this one with no event in
+  // between is the one that fires the next timer.
+  return link_.self().poll_idle(wheel_.next_deadline().value_or(sim::kNever));
+}
+
 sim::Sub<bool> TcpConnection::wait_step(sim::Cycles horizon) {
   sim::Node& node = link_.self().node();
   sim::Cycles timeout = horizon;
@@ -788,7 +794,7 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
           break;
         }
         if (node.now() >= deadline) break;
-        co_await link_.self().compute(node.cost().poll_iteration);
+        co_await link_.self().poll_idle(deadline);
       }
       const std::uint32_t after = snd_una();
       if (after == before) {
@@ -867,7 +873,7 @@ sim::Sub<std::uint32_t> TcpConnection::read_into(std::uint32_t app_addr,
       } else {
         const bool alive = co_await service_timers();
         if (!alive) co_return 0;
-        co_await link_.self().compute(node.cost().poll_iteration);
+        co_await poll_idle();
       }
     } else {
       co_await wait_step(rto_cur_);
@@ -911,7 +917,7 @@ sim::Sub<std::uint32_t> TcpConnection::read_discard(std::uint32_t max_len) {
       } else {
         const bool alive = co_await service_timers();
         if (!alive) co_return 0;
-        co_await link_.self().compute(node.cost().poll_iteration);
+        co_await poll_idle();
       }
     } else {
       co_await wait_step(rto_cur_);

@@ -218,6 +218,8 @@ class TcpConnection {
   /// probes, TIME_WAIT expiry. False when a retransmission exhausted the
   /// retry budget (the connection is then fully torn down).
   sim::Sub<bool> service_timers();
+  /// Empty poll iterations up to the next timer deadline (or event).
+  [[nodiscard]] sim::Process::PollIdle poll_idle();
 
   /// Retransmit the oldest unacked segment. `count_retry` burns retry
   /// budget (RTO path); fast retransmit passes false. False when retries

@@ -5,12 +5,23 @@
 
 namespace ash::sim {
 
-EventId EventQueue::schedule_at(Cycles at, EventFn fn) {
-  const EventId id = next_id_++;
+void EventQueue::push(Cycles at, Cycles sched, EventId id, bool resumption,
+                      EventFn fn) {
   if (at < now_) at = now_;
-  heap_.push_back(Ev{at, id, std::move(fn)});
+  heap_.push_back(Ev{at, sched, id, resumption, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   live_.insert(id);
+}
+
+EventId EventQueue::schedule_at(Cycles at, EventFn fn) {
+  const EventId id = next_id_++;
+  push(at, now_, id, /*resumption=*/false, std::move(fn));
+  return id;
+}
+
+EventId EventQueue::schedule_resumption(Cycles at, Cycles as_of, EventId id,
+                                        EventFn fn) {
+  push(at, as_of, id, /*resumption=*/true, std::move(fn));
   return id;
 }
 

@@ -27,6 +27,9 @@ constexpr Cycles us(double microseconds) noexcept {
   return static_cast<Cycles>(microseconds * kCpuMhz);
 }
 
+/// "No deadline" for the waits and polls that take one.
+inline constexpr Cycles kNever = ~Cycles{0};
+
 using EventFn = std::function<void()>;
 using EventId = std::uint64_t;
 
@@ -43,6 +46,18 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at` (clamped to now). Events at equal
   /// times run in scheduling order. Returns an id usable with cancel().
   EventId schedule_at(Cycles at, EventFn fn);
+
+  /// Schedule a parked poller's resumption (Process::poll_idle) at `at`,
+  /// ordered among equal-time events as if it had been scheduled at the
+  /// earlier time `as_of` with id `id`, issued by reserve_id(): the queue
+  /// orders by (time, scheduled-at, id), which for every schedule_at
+  /// event is exactly (time, id). The event is marked as a resumption, so
+  /// Simulator::run does not count it as a touch of other parked pollers.
+  EventId schedule_resumption(Cycles at, Cycles as_of, EventId id,
+                              EventFn fn);
+
+  /// Issue an id now for an event scheduled later (schedule_resumption).
+  EventId reserve_id() noexcept { return next_id_++; }
 
   /// Schedule `fn` after `delay` cycles.
   EventId schedule_in(Cycles delay, EventFn fn) {
@@ -71,17 +86,41 @@ class EventQueue {
   /// cancelled entries encountered at the head.
   Cycles next_time();
 
+  /// The ordering key of the next live event. Valid only right after
+  /// next_time() returned a time other than ~0.
+  struct Key {
+    Cycles at;
+    Cycles sched;  // the time it was scheduled (as of)
+    EventId id;
+    bool resumption;
+  };
+  Key head() const noexcept {
+    const Ev& e = heap_.front();
+    return Key{e.at, e.sched, e.id, e.resumption};
+  }
+
+  /// Move the clock forward to `t` with no event (no-op if `t` is not
+  /// later than now).
+  void advance_to(Cycles t) noexcept {
+    if (t > now_) now_ = t;
+  }
+
  private:
   struct Ev {
     Cycles at;
+    Cycles sched;
     EventId id;
+    bool resumption;
     EventFn fn;
   };
   struct Later {
     bool operator()(const Ev& a, const Ev& b) const noexcept {
-      return a.at != b.at ? a.at > b.at : a.id > b.id;
+      if (a.at != b.at) return a.at > b.at;
+      return a.sched != b.sched ? a.sched > b.sched : a.id > b.id;
     }
   };
+
+  void push(Cycles at, Cycles sched, EventId id, bool resumption, EventFn fn);
 
   /// Drop every tombstoned entry from the heap in one O(n) pass.
   void compact();

@@ -1,6 +1,7 @@
 #include "sim/kernel.hpp"
 
 #include "sim/node.hpp"
+#include "sim/simulator.hpp"
 
 namespace ash::sim {
 
@@ -42,6 +43,7 @@ std::size_t Kernel::live_processes() const noexcept {
 
 void Kernel::record_failure(std::exception_ptr e) {
   if (!failure_) failure_ = std::move(e);
+  node_.simulator().note_failure();
 }
 
 std::exception_ptr Kernel::take_failure() noexcept {

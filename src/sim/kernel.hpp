@@ -46,6 +46,7 @@ class Kernel {
   /// Record a failure escaping a process coroutine; Simulator::run
   /// rethrows it.
   void record_failure(std::exception_ptr e);
+  bool has_failure() const noexcept { return failure_ != nullptr; }
   std::exception_ptr take_failure() noexcept;
 
  private:

@@ -1,5 +1,6 @@
 #include "sim/process.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/kernel.hpp"
@@ -80,9 +81,9 @@ void Process::schedule_next_chunk() {
   node_.set_chunk_end(end);
   queue().schedule_at(end, [this, chunk] {
     if (state_ != ProcState::Running) {
-      // Preempted/killed between scheduling and firing cannot happen in
-      // the current design (chunk events are not cancelled), but stay
-      // defensive: drop the stale completion.
+      // A process leaves Running only through its own awaitables, never
+      // between scheduling a chunk and its end (chunk events are not
+      // cancelled), but stay defensive: drop the stale completion.
       return;
     }
     compute_remaining_ -= chunk;
@@ -92,6 +93,122 @@ void Process::schedule_next_chunk() {
       schedule_next_chunk();
     }
   });
+}
+
+// ---- poll_idle ----
+//
+// Exactness argument. Between two events nothing a poll loop's check
+// reads can change: frames land, handlers commit, timers arm and
+// processes wake only inside events, and a node runs one process at a
+// time. So every boundary with no event since the previous check is an
+// empty check, and skipping it changes nothing. Simulator::run calls
+// touch() before any event (other than a resumption) runs; the poller
+// then resumes at the end of the iteration that event lands in, exactly
+// where the hand loop's next check would run.
+//
+// Ties: the hand loop's chunk event for boundary b was scheduled at the
+// check before it, so the queue orders by (time, scheduled-at, id) and a
+// resumption carries the previous boundary as its scheduled-at. Its id
+// falls where the chunk event's would: for the first boundary it is the
+// id reserved when the poller parked (or settled at the end of a run,
+// before anything could be scheduled between runs); for a later one it
+// is issued at the first event after the check before it.
+
+void Process::start_poll_idle(Cycles deadline, std::coroutine_handle<> h) {
+  const Cycles p = node_.cost().poll_iteration;
+  Scheduler& s = sched();
+  park_.charged = 1;
+  if (p == 0 || p > kComputeChunk || s.should_preempt()) {
+    // One plain iteration: compute() itself preempts here, and resumes
+    // the residual on re-dispatch.
+    start_compute(p, h);
+    return;
+  }
+  cont_ = h;
+  const Cycles now = node_.now();
+  park_.prev = now;
+  park_.first = std::max(now, node_.cpu_free_at()) + p;
+  park_.chunk_id = queue().reserve_id();
+  park_.ev = 0;
+  park_.base = 0;
+  node_.set_chunk_end(park_.first);
+  // With another process ready, the first check at or past quantum
+  // expiry is followed by a preemption, so the poller must run it.
+  Cycles wake = deadline;
+  if (s.ready_count() > 0) {
+    wake = std::min(wake, s.running_since() + node_.cost().quantum);
+  }
+  // (A boundary past the end of time is no deadline.)
+  if (wake <= kNever - p) {
+    const Cycles b =
+        wake <= park_.first
+            ? park_.first
+            : park_.first + (wake - park_.first + p - 1) / p * p;
+    schedule_resumption(b);
+  }
+  park_.listed = true;
+  node_.simulator().park(this);
+}
+
+Cycles Process::boundary_before(Cycles b) const {
+  return b == park_.first ? park_.prev : b - node_.cost().poll_iteration;
+}
+
+void Process::schedule_resumption(Cycles at) {
+  const EventId id =
+      at == park_.first ? park_.chunk_id : queue().reserve_id();
+  park_.ev = queue().schedule_resumption(at, boundary_before(at), id,
+                                         [this] { resume_parked(); });
+  park_.ev_at = at;
+}
+
+void Process::touch(const EventQueue::Key& e) {
+  park_.listed = false;
+  const Cycles p = node_.cost().poll_iteration;
+  // The end of the iteration `e` lands in. On a boundary, `e` runs
+  // before that boundary's check iff it sorts before the check's chunk
+  // event: scheduled before the previous check, or at it but with an
+  // earlier id than the one reserved at the park.
+  Cycles end = park_.first;
+  if (e.at >= park_.first) {
+    const Cycles b = park_.first + (e.at - park_.first) / p * p;
+    const Cycles before = boundary_before(b);
+    const bool ahead =
+        e.sched < before || (e.sched == before && e.id < park_.chunk_id);
+    end = e.at == b && ahead ? b : b + p;
+  }
+  node_.set_chunk_end(end);
+  if (park_.ev != 0) {
+    assert(park_.ev_at >= end);
+    if (park_.ev_at == end) return;  // never re-allocated for one boundary
+    queue().cancel(park_.ev);
+  }
+  schedule_resumption(end);
+}
+
+void Process::settle(Cycles limit) {
+  if (limit < park_.first) return;
+  const Cycles p = node_.cost().poll_iteration;
+  const Cycles passed = (limit - park_.first) / p;
+  const Cycles last = park_.first + passed * p;
+  park_.base += passed + 1;
+  park_.prev = last;
+  park_.first = last + p;
+  park_.chunk_id = queue().reserve_id();
+  node_.set_chunk_end(park_.first);
+  queue().advance_to(last);
+}
+
+void Process::resume_parked() {
+  if (park_.listed) {
+    // A deadline resumption with no event since the park.
+    park_.listed = false;
+    node_.simulator().unpark(this);
+  }
+  park_.ev = 0;
+  const Cycles p = node_.cost().poll_iteration;
+  park_.charged = park_.base + 1 + (node_.now() - park_.first) / p;
+  run_coroutine();
 }
 
 void Process::do_yield(std::coroutine_handle<> h) {

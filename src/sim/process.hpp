@@ -69,6 +69,30 @@ class Process {
     return Awaiter{*this, cycles};
   }
 
+  /// A run of empty poll iterations, simulated exactly but without one
+  /// event per iteration. It stands in for the hand loop
+  ///   do { co_await compute(cost().poll_iteration); }
+  ///   while (the loop's check would see nothing new && now < deadline);
+  /// so it charges at least one iteration, and returns (the number of
+  /// iterations charged) at the first iteration boundary at which the
+  /// caller's check could see a change: after any other event ran (see
+  /// Simulator::run), once now >= `deadline`, or once a ready process's
+  /// quantum expires. While parked the process stays Running and keeps
+  /// the node's chunk end where the hand loop's would be, so kernel work
+  /// and preemption land on the same cycles as with compute().
+  struct PollIdle {
+    Process& p;
+    Cycles deadline;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      p.start_poll_idle(deadline, h);
+    }
+    std::uint64_t await_resume() const noexcept { return p.park_.charged; }
+  };
+  [[nodiscard]] PollIdle poll_idle(Cycles deadline = kNever) {
+    return PollIdle{*this, deadline};
+  }
+
   /// A full system call: two protected crossings + dispatch + `work`.
   [[nodiscard]] auto syscall(Cycles work = 0) {
     return compute(syscall_cost(work));
@@ -121,6 +145,13 @@ class Process {
   /// resume `h` when the process is next dispatched after wake().
   void block_on_external(std::coroutine_handle<> h);
 
+  /// Parked pollers only (Simulator::run). `touch`: the event `e` is
+  /// about to run, so resume at the end of the iteration it lands in.
+  /// `settle`: the run stops at `limit`; advance to the last boundary at
+  /// or before it, as the hand loop's events up to `limit` would have.
+  void touch(const EventQueue::Key& e);
+  void settle(Cycles limit);
+
   std::exception_ptr take_exception() noexcept {
     return std::exchange(exception_, nullptr);
   }
@@ -134,6 +165,11 @@ class Process {
 
   void start_compute(Cycles cycles, std::coroutine_handle<> h);
   void schedule_next_chunk();
+  void start_poll_idle(Cycles deadline, std::coroutine_handle<> h);
+  /// The boundary before `b` on the park's grid (where its check ran).
+  Cycles boundary_before(Cycles b) const;
+  void schedule_resumption(Cycles at);
+  void resume_parked();
   void do_yield(std::coroutine_handle<> h);
   void do_sleep(Cycles cycles, std::coroutine_handle<> h);
   void run_coroutine();
@@ -151,6 +187,21 @@ class Process {
   std::coroutine_handle<> cont_{};  // innermost suspended coroutine
   Cycles compute_remaining_ = 0;
   std::exception_ptr exception_;
+
+  /// poll_idle's state. The iteration boundaries are `first`, then every
+  /// poll_iteration: kernel work can only delay the first one, and any
+  /// new kernel work comes from an event, which ends the park.
+  struct Park {
+    Cycles prev = 0;         // the check before `first`
+    Cycles first = 0;        // the first boundary not yet passed
+    EventId chunk_id = 0;    // reserved when `prev` ran: the id of the
+                             // hand loop's chunk event for `first`
+    EventId ev = 0;          // pending resumption, 0 if none
+    Cycles ev_at = 0;        // its boundary
+    std::uint64_t base = 0;  // iterations passed before `first`
+    std::uint64_t charged = 0;
+    bool listed = false;     // on the simulator's parked list
+  } park_;
 };
 
 /// Condition-variable-with-memory: notify() on an empty waiter list is

@@ -10,6 +10,8 @@
 
 namespace ash::sim {
 
+class Process;
+
 class Simulator {
  public:
   EventQueue& queue() noexcept { return queue_; }
@@ -34,15 +36,29 @@ class Simulator {
 
   /// Run until the event queue drains or the clock passes `limit`.
   /// Rethrows the first exception that escaped any process coroutine.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed. Processes parked in
+  /// Process::poll_idle are left where a hand-written poll loop would
+  /// be: at their last iteration boundary at or before `limit`.
   std::size_t run(Cycles limit = ~Cycles{0});
 
+  /// A process failure was recorded (Kernel::record_failure); run()
+  /// rethrows it after the current event.
+  void note_failure() noexcept { failure_pending_ = true; }
+
+  /// Process::poll_idle's parked list: a parked process is touched by
+  /// the next event that is not a resumption.
+  void park(Process* p) { parked_.push_back(p); }
+  void unpark(Process* p) { std::erase(parked_, p); }
+
  private:
-  void check_failures();
+  void touch_parked();
+  void rethrow_failure();
 
   EventQueue queue_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Process*> parked_;
   std::uint16_t next_cpu_id_ = 0;
+  bool failure_pending_ = false;
 };
 
 }  // namespace ash::sim
