@@ -51,6 +51,8 @@ class Process {
   Node& node() noexcept { return node_; }
   const MemSegment& segment() const noexcept { return seg_; }
   ProcState state() const noexcept { return state_; }
+  /// Empty poll iterations charged through poll_idle so far.
+  std::uint64_t poll_iterations() const noexcept { return poll_iterations_; }
   bool exited() const noexcept { return state_ == ProcState::Exited; }
 
   // ---- awaitables (only valid inside this process's coroutine) ----
@@ -87,7 +89,10 @@ class Process {
     void await_suspend(std::coroutine_handle<> h) {
       p.start_poll_idle(deadline, h);
     }
-    std::uint64_t await_resume() const noexcept { return p.park_.charged; }
+    std::uint64_t await_resume() const noexcept {
+      p.poll_iterations_ += p.park_.charged;
+      return p.park_.charged;
+    }
   };
   [[nodiscard]] PollIdle poll_idle(Cycles deadline = kNever) {
     return PollIdle{*this, deadline};
@@ -145,13 +150,6 @@ class Process {
   /// resume `h` when the process is next dispatched after wake().
   void block_on_external(std::coroutine_handle<> h);
 
-  /// Parked pollers only (Simulator::run). `touch`: the event `e` is
-  /// about to run, so resume at the end of the iteration it lands in.
-  /// `settle`: the run stops at `limit`; advance to the last boundary at
-  /// or before it, as the hand loop's events up to `limit` would have.
-  void touch(const EventQueue::Key& e);
-  void settle(Cycles limit);
-
   std::exception_ptr take_exception() noexcept {
     return std::exchange(exception_, nullptr);
   }
@@ -161,6 +159,7 @@ class Process {
 
  private:
   friend class Scheduler;
+  friend class Simulator;
   friend struct Task::promise_type::FinalAwaiter;
 
   void start_compute(Cycles cycles, std::coroutine_handle<> h);
@@ -170,6 +169,12 @@ class Process {
   Cycles boundary_before(Cycles b) const;
   void schedule_resumption(Cycles at);
   void resume_parked();
+  /// Parked pollers only (Simulator::run). `touch`: the event `e` is
+  /// about to run, so resume at the end of the iteration it lands in.
+  /// `settle`: the run stops at `limit`; advance to the last boundary at
+  /// or before it, as the hand loop's events up to `limit` would have.
+  void touch(const EventQueue::Key& e);
+  void settle(Cycles limit);
   void do_yield(std::coroutine_handle<> h);
   void do_sleep(Cycles cycles, std::coroutine_handle<> h);
   void run_coroutine();
@@ -186,6 +191,7 @@ class Process {
   Task::Handle main_{};
   std::coroutine_handle<> cont_{};  // innermost suspended coroutine
   Cycles compute_remaining_ = 0;
+  std::uint64_t poll_iterations_ = 0;
   std::exception_ptr exception_;
 
   /// poll_idle's state. The iteration boundaries are `first`, then every

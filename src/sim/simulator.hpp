@@ -45,12 +45,13 @@ class Simulator {
   /// rethrows it after the current event.
   void note_failure() noexcept { failure_pending_ = true; }
 
+ private:
+  friend class Process;
+
   /// Process::poll_idle's parked list: a parked process is touched by
   /// the next event that is not a resumption.
   void park(Process* p) { parked_.push_back(p); }
   void unpark(Process* p) { std::erase(parked_, p); }
-
- private:
   void touch_parked();
   void rethrow_failure();
 

@@ -10,8 +10,12 @@
 // enforced.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "net/an2.hpp"
 #include "net/ethernet.hpp"
+#include "proto/an2_link.hpp"
+#include "proto/eth_link.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
@@ -19,6 +23,7 @@
 namespace ash::net {
 namespace {
 
+using sim::CostModel;
 using sim::Cycles;
 using sim::Node;
 using sim::Process;
@@ -217,6 +222,114 @@ TEST(PollCharge, EthernetSpinChargesEachEmptyCheckOnceAndNoDouble) {
   // never an extra poll_iteration.
   EXPECT_GE(done - hit, b.cost().an2_user_recv_overhead);
   EXPECT_LT(done - hit, b.cost().an2_user_recv_overhead + us(10.0));
+}
+
+// ---- the links' receive path (RxPort::recv_until over poll_idle) ----
+//
+// The same four receives, once through the contract-following hand loop
+// above and once through An2Link::recv / EthLink::recv, which charge
+// empty checks with Process::poll_idle instead of one compute() each:
+// the hit time, the empty-check count and the completion time must all
+// match.
+
+struct RecvTiming {
+  Cycles t0 = 0;
+  Cycles hit = 0;  // the hand loop only
+  Cycles done = 0;
+  std::uint64_t empty = 0;
+};
+
+/// One receive on node b of an AN2 (or Ethernet) pair: the receiver
+/// starts checking at `start`, the frame is sent at `send_at`.
+template <typename Device, typename Link>
+RecvTiming one_receive(bool via_link, Cycles start, Cycles send_at) {
+  Simulator sim;
+  Node& a = sim.add_node("a");
+  Node& b = sim.add_node("b");
+  Device dev_a(a), dev_b(b);
+  dev_a.connect(dev_b);
+  constexpr bool kAn2 = std::is_same_v<Device, An2Device>;
+
+  RecvTiming r;
+  b.kernel().spawn("rx", [&](Process& self) -> Task {
+    if (via_link) {
+      Link link(self, dev_b, {});
+      co_await self.sleep_for(start);
+      r.t0 = self.node().now();
+      const std::uint64_t polls = self.poll_iterations();
+      const net::RxDesc d = co_await link.recv();
+      (void)d;
+      r.done = self.node().now();
+      r.empty = self.poll_iterations() - polls;
+      co_return;
+    }
+    int ch = 0;
+    if constexpr (kAn2) {
+      ch = dev_b.bind_vc(self);
+      dev_b.supply_buffer(ch, self.segment().base, 4096);
+    } else {
+      ch = dev_b.attach(self, type_filter(0x0800));
+      dev_b.supply_buffer(ch, self.segment().base, 2048);
+    }
+    co_await self.sleep_for(start);
+    r.t0 = self.node().now();
+    int empty = 0;
+    co_await poll_until_hit(
+        self, [&] { return dev_b.poll(ch).has_value(); }, &empty, &r.hit,
+        &r.done);
+    r.empty = static_cast<std::uint64_t>(empty);
+  });
+  sim.queue().schedule_at(send_at, [&] {
+    if constexpr (kAn2) {
+      const std::uint8_t m[4] = {1, 2, 3, 4};
+      ASSERT_TRUE(dev_a.send(0, m));
+    } else {
+      ASSERT_TRUE(dev_a.send(eth_frame(0x0800)));
+    }
+  });
+  sim.run();
+  return r;
+}
+
+template <typename Device, typename Link>
+void expect_link_matches_hand_loop(Cycles start, Cycles send_at,
+                                   bool spin) {
+  const RecvTiming hand = one_receive<Device, Link>(false, start, send_at);
+  const RecvTiming link = one_receive<Device, Link>(true, start, send_at);
+  EXPECT_EQ(link.t0, hand.t0);
+  EXPECT_EQ(link.empty, hand.empty);
+  // Both charge the receive overhead after the hit; on the AN2 nothing
+  // else runs in between, so equal completions mean equal hit times.
+  EXPECT_EQ(link.done, hand.done);
+  if constexpr (std::is_same_v<Device, An2Device>) {
+    EXPECT_EQ(link.done - CostModel{}.an2_user_recv_overhead, hand.hit);
+  }
+  if (spin) {
+    EXPECT_GT(hand.empty, 0u);
+  } else {
+    EXPECT_EQ(hand.empty, 0u);
+    EXPECT_EQ(hand.hit, hand.t0);
+  }
+}
+
+TEST(PollCharge, An2LinkHitOnFirstCheckMatchesHandLoop) {
+  expect_link_matches_hand_loop<An2Device, proto::An2Link>(us(500.0),
+                                                           us(10.0), false);
+}
+
+TEST(PollCharge, An2LinkSpinThenHitMatchesHandLoop) {
+  expect_link_matches_hand_loop<An2Device, proto::An2Link>(us(100.0),
+                                                           us(250.0), true);
+}
+
+TEST(PollCharge, EthernetLinkHitOnFirstCheckMatchesHandLoop) {
+  expect_link_matches_hand_loop<EthernetDevice, proto::EthLink>(
+      us(1000.0), us(10.0), false);
+}
+
+TEST(PollCharge, EthernetLinkSpinThenHitMatchesHandLoop) {
+  expect_link_matches_hand_loop<EthernetDevice, proto::EthLink>(
+      us(100.0), us(250.0), true);
 }
 
 }  // namespace

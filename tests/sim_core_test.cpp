@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "sim/cache.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace ash::sim {
 namespace {
@@ -143,6 +148,79 @@ TEST(EventQueue, CompactionPreservesOrdering) {
   });
   EXPECT_EQ(order, expected);
   for (const int i : order) EXPECT_EQ(i % 2, 0);
+}
+
+TEST(EventQueue, ScheduledAtKeyOrdersAsTimeThenId) {
+  // The queue orders by (time, scheduled-at, id). For schedule_at events
+  // that must be exactly the (time, id) order: check a seeded run of
+  // schedules (some from inside callbacks, some at equal times) and
+  // cancels against a reference ordered set.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    EventQueue q;
+    std::set<std::pair<Cycles, EventId>> ref;
+    std::vector<std::pair<Cycles, EventId>> live;
+    int mismatches = 0;
+    std::size_t ran = 0;
+    std::function<void(Cycles)> add = [&](Cycles at) {
+      at = std::max(at, q.now());
+      auto id = std::make_shared<EventId>(0);
+      *id = q.schedule_at(at, [&, at, id] {
+        ++ran;
+        if (ref.empty() || *ref.begin() != std::make_pair(at, *id)) {
+          ++mismatches;
+        }
+        ref.erase({at, *id});
+        if (rng.below(3) == 0) add(q.now() + rng.below(4) * 10);
+      });
+      ref.insert({at, *id});
+      live.emplace_back(at, *id);
+    };
+    for (int i = 0; i < 200; ++i) add(rng.below(30) * 10);
+    for (int i = 0; i < 60; ++i) {
+      const auto& [at, id] = live[rng.below(live.size())];
+      q.cancel(id);
+      ref.erase({at, id});
+    }
+    q.run_until_idle();
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    EXPECT_TRUE(ref.empty()) << "seed " << seed;
+    EXPECT_GT(ran, 140u);
+  }
+}
+
+TEST(EventQueue, ResumptionOrdersWhereTheCheckChunkEventWould) {
+  // A poll check at t=100 schedules its chunk event for t=120. Events at
+  // 120 order against it by when they were scheduled: A (at t=50) and B
+  // (at t=100, before the check) run first; C (at t=100, after the
+  // check) and D (at t=110) run after. A resumption scheduled late, as of
+  // the check and with the id reserved there, must land in the same spot.
+  for (const bool resumption : {false, true}) {
+    EventQueue q;
+    std::string order;
+    EventId chunk_id = 0;
+    const auto mark = [&order](char c) {
+      return [&order, c] { order += c; };
+    };
+    q.schedule_at(50, [&] { q.schedule_at(120, mark('A')); });
+    q.schedule_at(100, [&] { q.schedule_at(120, mark('B')); });
+    q.schedule_at(100, [&] {  // the check
+      if (resumption) {
+        chunk_id = q.reserve_id();
+      } else {
+        q.schedule_at(120, mark('*'));
+      }
+    });
+    q.schedule_at(100, [&] { q.schedule_at(120, mark('C')); });
+    q.schedule_at(110, [&] {
+      // The first event after the check schedules the resumption, then
+      // D.
+      if (resumption) q.schedule_resumption(120, 100, chunk_id, mark('*'));
+      q.schedule_at(120, mark('D'));
+    });
+    q.run_until_idle();
+    EXPECT_EQ(order, "AB*CD") << resumption;
+  }
 }
 
 TEST(Cache, ReadMissThenHit) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/timer_wheel.hpp"
+#include "util/rng.hpp"
 
 namespace ash::sim {
 namespace {
@@ -134,6 +135,47 @@ TEST(TimerWheel, ZeroDelayDeadlineFiresOnNextAdvance) {
   const auto fired = drain(w, 0);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].cookie, 1u);
+}
+
+TEST(TimerWheel, OneLongAdvanceFiresLikeStepwiseAdvances) {
+  // A poll loop parked by Process::poll_idle services its timers only at
+  // the checks it really runs, not at every poll_iteration: one advance
+  // to T must fire the same (deadline, cookie) sequence as advancing to T
+  // in poll_iteration steps.
+  constexpr Cycles kStep = 20;  // poll_iteration
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    TimerWheel once(/*granularity=*/100 + 50 * (seed % 3), /*buckets=*/8);
+    TimerWheel stepped(100 + 50 * (seed % 3), 8);
+    std::vector<TimerWheel::Expired> a, b;
+    Cycles now = 0;
+    for (int round = 0; round < 20; ++round) {
+      std::vector<TimerWheel::Id> ids;
+      for (int i = 0, n = static_cast<int>(rng.below(6)); i < n; ++i) {
+        const Cycles at = now + rng.below(3000);
+        const std::uint64_t cookie = rng.below(4);
+        ids.push_back(once.arm(at, cookie));
+        EXPECT_EQ(stepped.arm(at, cookie), ids.back());
+      }
+      if (!ids.empty() && rng.below(2) == 0) {
+        const TimerWheel::Id victim = ids[rng.below(ids.size())];
+        EXPECT_EQ(once.cancel(victim), stepped.cancel(victim));
+      }
+      const Cycles target = now + rng.below(200) * kStep;
+      once.advance(target, a);
+      for (Cycles t = now + kStep; t < target; t += kStep) {
+        stepped.advance(t, b);
+      }
+      stepped.advance(target, b);
+      now = target;
+      EXPECT_EQ(once.next_deadline(), stepped.next_deadline());
+    }
+    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].deadline, b[i].deadline) << "seed " << seed;
+      EXPECT_EQ(a[i].cookie, b[i].cookie) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace
