@@ -87,7 +87,7 @@ class EventQueue {
   Cycles next_time();
 
   /// The ordering key of the next live event. Valid only right after
-  /// next_time() returned a time other than ~0.
+  /// next_time() returned a time other than kNever.
   struct Key {
     Cycles at;
     Cycles sched;  // the time it was scheduled (as of)

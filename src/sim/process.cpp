@@ -110,9 +110,10 @@ void Process::schedule_next_chunk() {
 // check before it, so the queue orders by (time, scheduled-at, id) and a
 // resumption carries the previous boundary as its scheduled-at. Its id
 // falls where the chunk event's would: for the first boundary it is the
-// id reserved when the poller parked (or settled at the end of a run,
-// before anything could be scheduled between runs); for a later one it
-// is issued at the first event after the check before it.
+// id reserved when the poller parked (nothing was scheduled between the
+// park and the boundaries a run's end settles on, so it serves those
+// too); for a later one it is issued at the first event after the check
+// before it.
 
 void Process::start_poll_idle(Cycles deadline, std::coroutine_handle<> h) {
   const Cycles p = node_.cost().poll_iteration;
@@ -194,7 +195,6 @@ void Process::settle(Cycles limit) {
   park_.base += passed + 1;
   park_.prev = last;
   park_.first = last + p;
-  park_.chunk_id = queue().reserve_id();
   node_.set_chunk_end(park_.first);
   queue().advance_to(last);
 }

@@ -200,7 +200,7 @@ class Process {
   struct Park {
     Cycles prev = 0;         // the check before `first`
     Cycles first = 0;        // the first boundary not yet passed
-    EventId chunk_id = 0;    // reserved when `prev` ran: the id of the
+    EventId chunk_id = 0;    // reserved at the park; orders like the
                              // hand loop's chunk event for `first`
     EventId ev = 0;          // pending resumption, 0 if none
     Cycles ev_at = 0;        // its boundary

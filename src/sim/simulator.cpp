@@ -5,8 +5,8 @@
 namespace ash::sim {
 
 void Simulator::rethrow_failure() {
-  // Nodes in creation order, as before: the first node's failure goes
-  // first, and any other waits for the next event.
+  // Nodes in creation order: the first node's failure is rethrown, and
+  // any other waits for the next event.
   failure_pending_ = false;
   std::exception_ptr first;
   for (const auto& node : nodes_) {

@@ -39,7 +39,7 @@ class Simulator {
   /// Returns the number of events executed. Processes parked in
   /// Process::poll_idle are left where a hand-written poll loop would
   /// be: at their last iteration boundary at or before `limit`.
-  std::size_t run(Cycles limit = ~Cycles{0});
+  std::size_t run(Cycles limit = kNever);
 
   /// A process failure was recorded (Kernel::record_failure); run()
   /// rethrows it after the current event.
