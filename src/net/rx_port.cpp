@@ -61,8 +61,10 @@ sim::Sub<std::optional<RxDesc>> RxPort::recv_until(sim::Process& self,
       co_await self.poll_idle(deadline);
     } else if (deadline == sim::kNever) {
       co_await c.arrival.wait(self);
-    } else if (!co_await c.arrival.wait_for(self, deadline - node_.now())) {
-      co_return std::nullopt;
+    } else {
+      const bool got_token =
+          co_await c.arrival.wait_for(self, deadline - node_.now());
+      if (!got_token) co_return std::nullopt;
     }
   }
 }

@@ -44,7 +44,8 @@ void An2Link::set_mode(RecvMode mode) {
 }
 
 sim::Sub<net::RxDesc> An2Link::recv() {
-  co_return *co_await dev_.recv_until(self_, vc_, sim::kNever);
+  const auto d = co_await dev_.recv_until(self_, vc_, sim::kNever);
+  co_return *d;
 }
 
 sim::Sub<std::optional<net::RxDesc>> An2Link::recv_for(sim::Cycles timeout) {

@@ -33,7 +33,8 @@ EthLink::EthLink(sim::Process& self, net::EthernetDevice& dev,
 }
 
 sim::Sub<net::RxDesc> EthLink::recv() {
-  co_return *co_await dev_.recv_until(self_, endpoint_, sim::kNever);
+  const auto d = co_await dev_.recv_until(self_, endpoint_, sim::kNever);
+  co_return *d;
 }
 
 sim::Sub<std::optional<net::RxDesc>> EthLink::recv_for(sim::Cycles timeout) {

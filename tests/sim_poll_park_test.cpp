@@ -163,7 +163,8 @@ struct World {
           co_await self.compute(p);
           ++out.charged;
         } else {
-          out.charged += co_await self.poll_idle(deadline);
+          const std::uint64_t n = co_await self.poll_idle(deadline);
+          out.charged += n;
         }
       }
     }
@@ -241,8 +242,8 @@ Outcome run_world(const Scenario& sc, bool hand) {
 }
 
 /// Runs `sc` both ways, expects identical outcomes, returns the hand
-/// run's coverage.
-Coverage expect_same(const Scenario& sc) {
+/// run's.
+Outcome expect_same(const Scenario& sc) {
   const Outcome hand = run_world(sc, /*hand=*/true);
   const Outcome parked = run_world(sc, /*hand=*/false);
   // Report the first divergence, not the whole logs.
@@ -263,7 +264,7 @@ Coverage expect_same(const Scenario& sc) {
   EXPECT_EQ(hand.charged, parked.charged) << "seed " << sc.seed;
   EXPECT_EQ(hand.final_clock, parked.final_clock) << "seed " << sc.seed;
   EXPECT_GT(hand.charged, 0u);
-  return hand.cov;
+  return hand;
 }
 
 TEST(PollPark, MatchesHandLoopOnSeededKernelWorkAndPosts) {
@@ -271,7 +272,7 @@ TEST(PollPark, MatchesHandLoopOnSeededKernelWorkAndPosts) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Scenario sc;
     sc.seed = seed;
-    const Coverage c = expect_same(sc);
+    const Coverage c = expect_same(sc).cov;
     total.on_boundary_ahead += c.on_boundary_ahead;
     total.on_boundary_after += c.on_boundary_after;
     total.one_after += c.one_after;
@@ -293,8 +294,7 @@ TEST(PollPark, QuantumExpiryPreemptsOnTheSameBoundary) {
     Scenario sc;
     sc.seed = 100 + seed;
     sc.competitor = true;
-    expect_same(sc);
-    for (const Rec& r : run_world(sc, false).log) {
+    for (const Rec& r : expect_same(sc).log) {
       competitor_runs += r.kind == 'Q';
     }
   }
@@ -308,8 +308,7 @@ TEST(PollPark, PriorityBoostPreemptsOnTheSameBoundary) {
     sc.seed = 200 + seed;
     sc.competitor = true;
     sc.policy = SchedPolicy::PriorityBoost;
-    expect_same(sc);
-    for (const Rec& r : run_world(sc, false).log) {
+    for (const Rec& r : expect_same(sc).log) {
       competitor_runs += r.kind == 'Q';
     }
   }
@@ -347,7 +346,8 @@ TEST(PollPark, QuietRunLimitSettlesAtTheLastBoundary) {
           co_await self.compute(p);
           ++charged;
         } else {
-          charged += co_await self.poll_idle();
+          const std::uint64_t n = co_await self.poll_idle();
+          charged += n;
         }
       }
     });
@@ -394,7 +394,8 @@ TEST(PollPark, An2RingPostOnThePurePollingPath) {
             co_await self.compute(self.node().cost().poll_iteration);
             ++charged;
           } else {
-            charged += co_await self.poll_idle();
+            const std::uint64_t n = co_await self.poll_idle();
+          charged += n;
           }
         }
       });
