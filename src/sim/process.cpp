@@ -120,8 +120,10 @@ void Process::start_poll_idle(Cycles deadline, std::coroutine_handle<> h) {
   Scheduler& s = sched();
   park_.charged = 1;
   if (p == 0 || p > kComputeChunk || s.should_preempt()) {
-    // One plain iteration: compute() itself preempts here, and resumes
-    // the residual on re-dispatch.
+    // One plain iteration where the grid below does not apply (an
+    // iteration that is not exactly one compute chunk) or a preemption
+    // is due: compute() preempts here and finishes the iteration on
+    // re-dispatch.
     start_compute(p, h);
     return;
   }
@@ -147,7 +149,6 @@ void Process::start_poll_idle(Cycles deadline, std::coroutine_handle<> h) {
             : park_.first + (wake - park_.first + p - 1) / p * p;
     schedule_resumption(b);
   }
-  park_.listed = true;
   node_.simulator().park(this);
 }
 
@@ -164,7 +165,6 @@ void Process::schedule_resumption(Cycles at) {
 }
 
 void Process::touch(const EventQueue::Key& e) {
-  park_.listed = false;
   const Cycles p = node_.cost().poll_iteration;
   // The end of the iteration `e` lands in. On a boundary, `e` runs
   // before that boundary's check iff it sorts before the check's chunk
@@ -200,11 +200,8 @@ void Process::settle(Cycles limit) {
 }
 
 void Process::resume_parked() {
-  if (park_.listed) {
-    // A deadline resumption with no event since the park.
-    park_.listed = false;
-    node_.simulator().unpark(this);
-  }
+  // Still listed if no event came between the park and this deadline.
+  node_.simulator().unpark(this);
   park_.ev = 0;
   const Cycles p = node_.cost().poll_iteration;
   park_.charged = park_.base + 1 + (node_.now() - park_.first) / p;

@@ -206,7 +206,6 @@ class Process {
     Cycles ev_at = 0;        // its boundary
     std::uint64_t base = 0;  // iterations passed before `first`
     std::uint64_t charged = 0;
-    bool listed = false;     // on the simulator's parked list
   } park_;
 };
 
