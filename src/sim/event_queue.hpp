@@ -58,6 +58,8 @@ class EventQueue {
 
   /// Issue an id now for an event scheduled later (schedule_resumption).
   EventId reserve_id() noexcept { return next_id_++; }
+  /// The id the next scheduled event will get.
+  EventId next_id() const noexcept { return next_id_; }
 
   /// Schedule `fn` after `delay` cycles.
   EventId schedule_in(Cycles delay, EventFn fn) {

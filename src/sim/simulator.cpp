@@ -21,8 +21,7 @@ void Simulator::rethrow_failure() {
   if (first) std::rethrow_exception(first);
 }
 
-void Simulator::touch_parked() {
-  const EventQueue::Key next = queue_.head();
+void Simulator::touch_parked(const EventQueue::Key& next) {
   // A resumption runs one poller's check; anything it changes for
   // another node reaches it through a later event.
   if (next.resumption) return;
@@ -31,9 +30,15 @@ void Simulator::touch_parked() {
 }
 
 std::size_t Simulator::run(Cycles limit) {
+  // Whatever the caller changed since the last run is a touch too, as
+  // if an event scheduled now ran now.
+  if (!parked_.empty()) {
+    const Cycles now = queue_.now();
+    touch_parked({now, now, queue_.next_id(), /*resumption=*/false});
+  }
   std::size_t executed = 0;
   while (queue_.next_time() <= limit) {
-    if (!parked_.empty()) touch_parked();
+    if (!parked_.empty()) touch_parked(queue_.head());
     if (!queue_.step()) break;
     ++executed;
     if (failure_pending_) rethrow_failure();

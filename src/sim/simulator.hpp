@@ -38,7 +38,9 @@ class Simulator {
   /// Rethrows the first exception that escaped any process coroutine.
   /// Returns the number of events executed. Processes parked in
   /// Process::poll_idle are left where a hand-written poll loop would
-  /// be: at their last iteration boundary at or before `limit`.
+  /// be: at their last iteration boundary at or before `limit`; the next
+  /// run resumes them at their next boundary, so they see what the
+  /// caller changed in between.
   std::size_t run(Cycles limit = kNever);
 
   /// A process failure was recorded (Kernel::record_failure); run()
@@ -52,7 +54,7 @@ class Simulator {
   /// the next event that is not a resumption.
   void park(Process* p) { parked_.push_back(p); }
   void unpark(Process* p) { std::erase(parked_, p); }
-  void touch_parked();
+  void touch_parked(const EventQueue::Key& next);
   void rethrow_failure();
 
   EventQueue queue_;

@@ -361,6 +361,33 @@ TEST(PollPark, QuietRunLimitSettlesAtTheLastBoundary) {
   }
 }
 
+TEST(PollPark, ChangeBetweenRunsIsSeenAtTheNextBoundary) {
+  // State changed by the caller between two runs, with no event: the
+  // hand loop's next check sees it, so the parked poller must too.
+  for (const bool hand : {true, false}) {
+    Simulator sim;
+    Node& node = sim.add_node("n0");
+    const Cycles p = node.cost().poll_iteration;
+    const Cycles start = node.cost().context_switch;
+    bool stop = false;
+    Cycles stopped = 0;
+    node.kernel().spawn("poller", [&](Process& self) -> Task {
+      while (!stop) {
+        if (hand) {
+          co_await self.compute(p);
+        } else {
+          co_await self.poll_idle();
+        }
+      }
+      stopped = self.node().now();
+    });
+    sim.run(start + 5 * p + 3);
+    stop = true;
+    sim.run(start + 50 * p);
+    EXPECT_EQ(stopped, start + 6 * p) << hand;
+  }
+}
+
 TEST(PollPark, An2RingPostOnThePurePollingPath) {
   // Frames from another node land on the ring with no kernel work; the
   // poller must find each at the same check as the hand loop.
