@@ -7,7 +7,6 @@
 #include "proto/tcb_shm.hpp"
 #include "sim/memops.hpp"
 #include "util/byteorder.hpp"
-#include "util/checksum.hpp"
 #include "vcode/builder.hpp"
 
 namespace ash::ashlib {
@@ -403,12 +402,10 @@ void install_tcp_fastpath_upcall(core::UpcallManager& upcalls,
     sim::Cycles cycles = sim::us(5.0);  // prediction + TCB bookkeeping
 
     const bool ckon = shm.get(kChecksumOn) != 0;
-    if (ckon) {
-      std::uint32_t acc = proto::pseudo_header_sum(
-          ip->src, ip->dst, proto::kIpProtoTcp,
-          static_cast<std::uint16_t>(seg_len));
-      acc = util::cksum_partial({p + 20, seg_len}, acc);
-      if (util::fold16(acc) != 0xffff) return declined;  // library re-drops
+    if (ckon && !proto::transport_checksum_ok(ip->src, ip->dst,
+                                              proto::kIpProtoTcp,
+                                              {p + 20, seg_len})) {
+      return declined;  // the library re-drops it
     }
     // The integrated checksum+copy traversal (upcalls benefit from DILP
     // too, per the paper); verification above was computed natively, the

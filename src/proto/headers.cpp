@@ -158,6 +158,13 @@ std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
   return ck == 0 ? 0xffff : ck;  // 0 is reserved for "no checksum" (UDP)
 }
 
+bool transport_checksum_ok(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
+                           std::span<const std::uint8_t> segment) {
+  const std::uint32_t acc = pseudo_header_sum(
+      src, dst, protocol, static_cast<std::uint16_t>(segment.size()));
+  return util::fold16(util::cksum_partial(segment, acc)) == 0xffff;
+}
+
 // ---------------------------------------------------------------- TCP
 
 void encode_tcp(std::span<std::uint8_t> out, const TcpHeader& h) {

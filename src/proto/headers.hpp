@@ -88,6 +88,11 @@ std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
                                  std::uint8_t protocol,
                                  std::span<const std::uint8_t> segment);
 
+/// Inbound check of a received UDP/TCP segment, checksum field included:
+/// the sum over pseudo-header and segment folds to 0xffff when intact.
+bool transport_checksum_ok(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
+                           std::span<const std::uint8_t> segment);
+
 // ---------------------------------------------------------------- TCP
 
 struct TcpFlags {

@@ -1,7 +1,7 @@
-// Connection-control primitives shared by the blocking TcpConnection
-// library and the event-driven TcpEngine: RFC 6298 RTT estimation,
-// RFC 5681-shaped congestion accounting, and an out-of-order segment
-// store for reassembly. Header-only, sim-agnostic except for Cycles.
+// Connection-control primitives of the per-flow TCP machine
+// (tcp_flow.hpp): RFC 6298 RTT estimation, RFC 5681-shaped congestion
+// accounting, and an out-of-order segment store for reassembly.
+// Header-only, sim-agnostic except for Cycles.
 #pragma once
 
 #include <algorithm>

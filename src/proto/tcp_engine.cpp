@@ -1,26 +1,56 @@
 #include "proto/tcp_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/memops.hpp"
 #include "sim/node.hpp"
-#include "util/checksum.hpp"
 
 namespace ash::proto {
 
 namespace {
-constexpr std::uint32_t kSegHdrLen =
-    static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen);
-// Cap the pure-ACK debt per flow: beyond this the extra dup-ACKs carry
-// no more information (fast retransmit triggers at three).
-constexpr std::uint32_t kMaxAcksOwed = 4;
+constexpr sim::Cycles kWheelGranularity = sim::us(1000.0);
+constexpr std::size_t kWheelBuckets = 256;
 }  // namespace
 
+/// The engine's side of one flow: host-deque buffers, the dirty list,
+/// callbacks, and the (id << 2 | kind) timer cookies.
+class TcpEngine::FlowHost final : public TcpFlowHost {
+ public:
+  FlowHost(TcpEngine& e, Tcb& t)
+      : TcpFlowHost(e.link_, e.cfg_, e.stats_, e.wheel_, e.cfg_.local_ip),
+        e_(e),
+        t_(t) {}
+
+  std::uint64_t timer_cookie() const override {
+    return static_cast<std::uint64_t>(t_.id) << 2;
+  }
+  std::uint32_t rcv_space() const override {
+    const auto used = static_cast<std::uint32_t>(t_.rcvbuf.size());
+    return used >= e_.cfg_.rcv_limit ? 0 : e_.cfg_.rcv_limit - used;
+  }
+  void deliver(std::span<const std::uint8_t> bytes, bool,
+               sim::Cycles* cycles) override {
+    t_.rcvbuf.insert(t_.rcvbuf.end(), bytes.begin(), bytes.end());
+    // Network-buffer-to-socket-buffer copy, charged per word.
+    const sim::CostModel& cost = link.self().node().cost();
+    for (std::size_t off = 0; off < bytes.size(); off += 4) {
+      *cycles += cost.copy_loop_insns_per_word;
+    }
+  }
+  void owe() override { e_.mark_dirty(t_); }
+  void send_window() override {
+    if (!t_.sndbuf.empty() || t_.flow.closing()) e_.mark_dirty(t_);
+  }
+  void established() override { e_.enter_established(t_); }
+  void readable() override { e_.signal_readable(t_); }
+
+ private:
+  TcpEngine& e_;
+  Tcb& t_;
+};
+
 TcpEngine::TcpEngine(Link& link, const Config& config)
-    : link_(link),
-      cfg_(config),
-      wheel_(config.wheel_granularity, config.wheel_buckets) {
+    : link_(link), cfg_(config), wheel_(kWheelGranularity, kWheelBuckets) {
   shards_.resize(std::max<std::size_t>(1, cfg_.shards));
 }
 
@@ -54,38 +84,24 @@ TcpEngine::Tcb& TcpEngine::create_tcb(const FlowKey& key, Callbacks cbs) {
   auto tcb = std::make_unique<Tcb>();
   Tcb& t = *tcb;
   t.id = next_id_++;
-  t.key = key;
   t.shard = shard;
   t.cbs = std::move(cbs);
   // Distinct ISS per flow keeps sequence spaces from aliasing in traces.
-  const std::uint32_t iss = cfg_.iss + t.id * 0x01000000u;
-  t.snd_nxt = iss;
-  t.snd_una = iss;
-  t.peer_wnd = cfg_.window;
-  t.last_adv_wnd = cfg_.rcv_limit;
-  t.rtt = RttEstimator(cfg_.rto, std::min(cfg_.min_rto, cfg_.rto),
-                       cfg_.max_rto);
-  t.rto_cur = cfg_.rto;
-  t.cc.reset(cfg_.mss, cfg_.window);
+  FlowHost h(*this, t);
+  t.flow.init(h, key, cfg_.iss + t.id * 0x01000000u);
   shards_[shard].emplace(key, std::move(tcb));
   by_id_.emplace(t.id, &t);
   return t;
 }
 
-void TcpEngine::destroy_tcb(Tcb& t) {
-  if (t.dead) return;
+bool TcpEngine::settle(Tcb& t) {
+  if (t.dead) return true;
+  if (t.flow.state() != TcpState::Closed) return false;
   t.dead = true;
-  cancel_timer(t.retx_timer);
-  cancel_timer(t.persist_timer);
-  cancel_timer(t.timewait_timer);
-  if (t.listener != nullptr && t.state == TcpState::SynRcvd) {
-    --t.listener->pending;
-  }
-  t.state = TcpState::Closed;
-  t.retx.clear();
+  if (t.listener != nullptr) --t.listener->pending;  // died in SYN_RCVD
   t.sndbuf.clear();
-  t.ooo.clear();
   dead_.push_back(t.id);
+  return true;
 }
 
 void TcpEngine::reap_dead() {
@@ -101,7 +117,7 @@ void TcpEngine::reap_dead() {
       if (t->cbs.on_closed) t->cbs.on_closed(id);
       ++stats_.conns_closed;
       by_id_.erase(it);
-      shards_[t->shard].erase(t->key);  // frees *t
+      shards_[t->shard].erase(t->flow.key());  // frees *t
     }
   }
 }
@@ -112,54 +128,15 @@ void TcpEngine::mark_dirty(Tcb& t) {
   dirty_.push_back(t.id);
 }
 
-// --------------------------------------------------------------- timers
-
-void TcpEngine::cancel_timer(sim::TimerWheel::Id& id) {
-  if (id != 0) {
-    wheel_.cancel(id);
-    id = 0;
-  }
-}
-
-void TcpEngine::arm_retx_timer(Tcb& t) {
-  cancel_timer(t.retx_timer);
-  if (t.retx.empty()) return;
-  t.retx_timer = wheel_.arm(link_.self().node().now() + t.rto_cur,
-                            cookie(t, kTimerRetx));
-}
-
 void TcpEngine::service_timers() {
   std::vector<sim::TimerWheel::Expired> fired;
   wheel_.advance(link_.self().node().now(), fired);
   for (const auto& e : fired) {
-    const auto id = static_cast<ConnId>(e.cookie >> 2);
-    const auto kind = static_cast<TimerKind>(e.cookie & 3);
-    const auto it = by_id_.find(id);
-    if (it == by_id_.end() || it->second->dead) continue;
-    Tcb& t = *it->second;
-    switch (kind) {
-      case kTimerRetx:
-        t.retx_timer = 0;
-        if (t.retx.empty()) break;
-        ++stats_.rto_timeouts;
-        t.cc.on_timeout(t.snd_nxt - t.snd_una);
-        t.rto_cur = std::min(t.rto_cur * 2, cfg_.max_rto);
-        t.dup_acks = 0;
-        t.retx_fired = true;
-        mark_dirty(t);
-        break;
-      case kTimerPersist:
-        t.persist_timer = 0;
-        t.persist_fire = true;
-        mark_dirty(t);
-        break;
-      case kTimerTimeWait:
-        // 2MSL expiry, or the FIN_WAIT_2 give-up for a peer that never
-        // sent its FIN. Either way the flow is done.
-        t.timewait_timer = 0;
-        destroy_tcb(t);
-        break;
-    }
+    Tcb* t = find(static_cast<ConnId>(e.cookie >> 2));
+    if (t == nullptr) continue;
+    FlowHost h(*this, *t);
+    t->flow.on_timer(h, static_cast<TcpFlow::TimerKind>(e.cookie & 3));
+    settle(*t);
   }
 }
 
@@ -180,51 +157,39 @@ TcpEngine::ConnId TcpEngine::connect(Ipv4Addr remote_ip,
   const FlowKey key{remote_ip, remote_port, local_port};
   if (lookup(key) != nullptr) return 0;  // 4-tuple already in use
   Tcb& t = create_tcb(key, std::move(callbacks));
-  t.state = TcpState::SynSent;
-  t.syn_queued = true;
   ++stats_.conns_opened;
-  mark_dirty(t);
+  FlowHost h(*this, t);
+  t.flow.open_active(h);
   return t.id;
 }
 
 void TcpEngine::close(ConnId id) {
   Tcb* t = find(id);
   if (t == nullptr) return;
-  switch (t->state) {
-    case TcpState::SynSent:
-    case TcpState::SynRcvd:
-      destroy_tcb(*t);  // nothing established to tear down politely
-      break;
-    case TcpState::Established:
-    case TcpState::CloseWait:
-      t->fin_pending = true;
-      mark_dirty(*t);
-      break;
-    default:
-      break;  // already closing or closed
-  }
+  FlowHost h(*this, *t);
+  t->flow.close(h);
+  settle(*t);
 }
 
 void TcpEngine::abort(ConnId id) {
   Tcb* t = find(id);
   if (t == nullptr) return;
-  abort_flow(*t, /*rst_peer=*/true);
-}
-
-void TcpEngine::abort_flow(Tcb& t, bool rst_peer) {
-  ++stats_.aborts;
-  if (rst_peer && t.state != TcpState::Closed) {
-    raw_rsts_.push_back(RawRst{t.key, t.snd_nxt, t.rcv_nxt, true});
+  const TcpFlow& f = t->flow;
+  if (f.state() != TcpState::Closed) {
+    raw_rsts_.push_back(RawRst{f.key(), f.snd_nxt(), f.rcv_nxt(), true});
   }
-  destroy_tcb(t);
+  FlowHost h(*this, *t);
+  t->flow.abort(h);
+  settle(*t);
 }
 
 // ----------------------------------------------------------- data plane
 
 bool TcpEngine::write(ConnId id, std::span<const std::uint8_t> data) {
   Tcb* t = find(id);
-  if (t == nullptr || t->fin_pending || t->fin_sent) return false;
-  switch (t->state) {
+  if (t == nullptr || t->flow.closing()) return false;
+  const TcpState st = t->flow.state();
+  switch (st) {
     case TcpState::SynSent:
     case TcpState::SynRcvd:
     case TcpState::Established:
@@ -234,8 +199,7 @@ bool TcpEngine::write(ConnId id, std::span<const std::uint8_t> data) {
       return false;
   }
   t->sndbuf.insert(t->sndbuf.end(), data.begin(), data.end());
-  if (t->state == TcpState::Established ||
-      t->state == TcpState::CloseWait) {
+  if (st == TcpState::Established || st == TcpState::CloseWait) {
     mark_dirty(*t);
   }
   return true;
@@ -250,14 +214,9 @@ std::size_t TcpEngine::read(ConnId id, std::uint8_t* out,
     out[i] = t->rcvbuf.front();
     t->rcvbuf.pop_front();
   }
-  // Receiver-side deadlock fix shared with TcpConnection: reopening the
-  // window in sub-MSS steps must still tell a persist-probing sender.
-  const std::uint32_t adv = adv_window(*t);
-  if (n > 0 && (adv >= t->last_adv_wnd + cfg_.mss ||
-                (t->last_adv_wnd == 0 && adv > 0))) {
-    ++stats_.window_updates;
-    if (t->acks_owed == 0) t->acks_owed = 1;
-    mark_dirty(*t);
+  if (n > 0) {
+    FlowHost h(*this, *t);
+    t->flow.consumed(h);
   }
   return n;
 }
@@ -270,13 +229,13 @@ std::size_t TcpEngine::readable(ConnId id) const {
 bool TcpEngine::at_eof(ConnId id) const {
   const Tcb* t = find(id);
   if (t == nullptr) return true;
-  return t->peer_fin && t->rcvbuf.empty();
+  return t->flow.peer_fin() && t->rcvbuf.empty();
 }
 
 std::optional<TcpState> TcpEngine::state(ConnId id) const {
   const Tcb* t = find(id);
   if (t == nullptr) return std::nullopt;
-  return t->state;
+  return t->flow.state();
 }
 
 std::size_t TcpEngine::unsent(ConnId id) const {
@@ -296,20 +255,26 @@ std::vector<std::size_t> TcpEngine::shard_sizes() const {
   return out;
 }
 
-std::uint32_t TcpEngine::adv_window(const Tcb& t) const {
-  const auto used = static_cast<std::uint32_t>(t.rcvbuf.size());
-  return used >= cfg_.rcv_limit ? 0 : cfg_.rcv_limit - used;
-}
-
 // -------------------------------------------------------------- receive
 
 void TcpEngine::signal_readable(Tcb& t) {
   if (!t.cbs.on_readable) return;
-  if (t.rcvbuf.empty() && t.peer_fin) {
+  if (t.rcvbuf.empty() && t.flow.peer_fin()) {
     if (t.readable_eof_signaled) return;
     t.readable_eof_signaled = true;
   }
   t.cbs.on_readable(t.id);
+}
+
+void TcpEngine::enter_established(Tcb& t) {
+  if (t.listener != nullptr) {
+    --t.listener->pending;
+    ++t.listener->accepted;
+    ++stats_.conns_accepted;
+    t.listener = nullptr;
+  }
+  if (!t.sndbuf.empty() || t.flow.closing()) mark_dirty(t);
+  if (t.cbs.on_established) t.cbs.on_established(t.id);
 }
 
 void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
@@ -324,7 +289,8 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
     return;
   }
   const std::uint32_t seg_len = ip->total_len - kIpHeaderLen;
-  const auto tcp = decode_tcp({p + kIpHeaderLen, seg_len});
+  const std::span<const std::uint8_t> seg{p + kIpHeaderLen, seg_len};
+  const auto tcp = decode_tcp(seg);
   if (!tcp) return;
   const std::uint32_t plen =
       seg_len - static_cast<std::uint32_t>(kTcpHeaderLen);
@@ -335,10 +301,7 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
     *cycles += node.cost().udp_cksum_setup;
     *cycles += sim::memops::cksum(node, d.addr + ip_off + kIpHeaderLen,
                                   seg_len, &dummy);
-    std::uint32_t acc = pseudo_header_sum(
-        ip->src, ip->dst, kIpProtoTcp, static_cast<std::uint16_t>(seg_len));
-    acc = util::cksum_partial({p + kIpHeaderLen, seg_len}, acc);
-    if (util::fold16(acc) != 0xffff) {
+    if (!transport_checksum_ok(ip->src, ip->dst, kIpProtoTcp, seg)) {
       ++stats_.cksum_failures;
       return;
     }
@@ -347,8 +310,9 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
   const FlowKey key{ip->src, tcp->src_port, tcp->dst_port};
   Tcb* t = lookup(key);
   if (t != nullptr && !t->dead) {
-    process_segment(*t, *tcp, {p + kIpHeaderLen + kTcpHeaderLen, plen},
-                    cycles);
+    FlowHost h(*this, *t);
+    t->flow.on_segment(h, *tcp, seg.subspan(kTcpHeaderLen), cycles);
+    settle(*t);
     return;
   }
 
@@ -359,29 +323,23 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
     handle_syn(key, *tcp);
     return;
   }
-  if (tcp->flags.rst || !cfg_.rst_unknown) return;
+  if (tcp->flags.rst) return;
   ++stats_.unknown_flow_rsts;
-  RawRst r;
-  r.key = key;
   if (tcp->flags.ack) {
-    r.seq = tcp->ack;
-    r.with_ack = false;
+    raw_rsts_.push_back(RawRst{key, tcp->ack, 0, false});
   } else {
-    r.seq = 0;
-    r.ack = tcp->seq + plen + (tcp->flags.syn ? 1 : 0) +
-            (tcp->flags.fin ? 1 : 0);
-    r.with_ack = true;
+    raw_rsts_.push_back(RawRst{
+        key, 0,
+        tcp->seq + plen + (tcp->flags.syn ? 1 : 0) + (tcp->flags.fin ? 1 : 0),
+        true});
   }
-  raw_rsts_.push_back(r);
 }
 
 void TcpEngine::handle_syn(const FlowKey& key, const TcpHeader& tcp) {
   const auto lit = listeners_.find(key.local_port);
   if (lit == listeners_.end()) {
-    if (cfg_.rst_unknown) {
-      ++stats_.unknown_flow_rsts;
-      raw_rsts_.push_back(RawRst{key, 0, tcp.seq + 1, true});
-    }
+    ++stats_.unknown_flow_rsts;
+    raw_rsts_.push_back(RawRst{key, 0, tcp.seq + 1, true});
     return;
   }
   TcpListener& l = lit->second;
@@ -395,556 +353,71 @@ void TcpEngine::handle_syn(const FlowKey& key, const TcpHeader& tcp) {
   Tcb& t = create_tcb(key, l.cfg.callbacks);
   t.listener = &l;
   ++l.pending;
-  t.state = TcpState::SynRcvd;
-  t.rcv_nxt = tcp.seq + 1;
-  t.peer_wnd = tcp.window;
-  t.synack_queued = true;
-  mark_dirty(t);
-}
-
-void TcpEngine::process_rst(Tcb& t, const TcpHeader& tcp) {
-  bool acceptable = false;
-  switch (t.state) {
-    case TcpState::Closed:
-      return;
-    case TcpState::SynSent:
-      acceptable = tcp.flags.ack && tcp.ack == t.snd_nxt;
-      break;
-    case TcpState::TimeWait:
-      ++stats_.rsts_ignored;  // RFC 1337
-      return;
-    default: {
-      const std::uint32_t wnd = std::max(adv_window(t), 1u);
-      acceptable =
-          seq_le(t.rcv_nxt, tcp.seq) && seq_lt(tcp.seq, t.rcv_nxt + wnd);
-      break;
-    }
-  }
-  if (acceptable) {
-    ++stats_.rsts_received;
-    abort_flow(t, /*rst_peer=*/false);
-  } else {
-    ++stats_.rsts_ignored;
-  }
-}
-
-void TcpEngine::process_ack(Tcb& t, const TcpHeader& tcp,
-                            std::uint32_t plen) {
-  sim::Node& node = link_.self().node();
-  const std::uint32_t una_before = t.snd_una;
-  if (seq_lt(una_before, tcp.ack) && seq_le(tcp.ack, t.snd_nxt)) {
-    t.snd_una = tcp.ack;
-    bool popped = false;
-    while (!t.retx.empty()) {
-      const RetxSegment& seg = t.retx.front();
-      const std::uint32_t consumed =
-          static_cast<std::uint32_t>(seg.payload.size()) +
-          ((seg.flags.syn || seg.flags.fin) ? 1 : 0);
-      if (seq_le(seg.seq + consumed, tcp.ack)) {
-        t.retx.pop_front();
-        popped = true;
-      } else {
-        break;
-      }
-    }
-    if (popped || t.retx.empty()) arm_retx_timer(t);
-    t.cc.on_ack(tcp.ack - una_before);
-    t.dup_acks = 0;
-    if (t.rtt_pending && seq_le(t.rtt_seq, tcp.ack)) {
-      t.rtt.sample(node.now() - t.rtt_sent_at);
-      t.rtt_pending = false;
-    }
-    t.rto_cur = t.rtt.rto();  // fresh ACK resets any backoff
-    if (!t.sndbuf.empty() || t.fin_pending) mark_dirty(t);
-  } else if (tcp.ack == una_before && plen == 0 && !tcp.flags.syn &&
-             !tcp.flags.fin && seq_lt(una_before, t.snd_nxt) &&
-             t.state == TcpState::Established) {
-    if (++t.dup_acks == 3) {
-      t.dup_acks = 0;
-      t.cc.on_fast_retransmit(t.snd_nxt - una_before);
-      ++stats_.fast_retransmits;
-      t.fast_retx_pending = true;
-      mark_dirty(t);
-    }
-  }
-  if (seq_le(tcp.ack, t.snd_nxt)) {
-    t.peer_wnd = tcp.window;
-    if (t.peer_wnd > 0) {
-      cancel_timer(t.persist_timer);
-      t.persist_fire = false;
-      if (!t.sndbuf.empty() || t.fin_pending) mark_dirty(t);
-    }
-  }
-}
-
-void TcpEngine::process_data(Tcb& t, const TcpHeader& tcp,
-                             std::span<const std::uint8_t> payload,
-                             sim::Cycles* cycles) {
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t space = adv_window(t);
-  const auto owe_ack = [this, &t] {
-    if (t.acks_owed < kMaxAcksOwed) ++t.acks_owed;
-    mark_dirty(t);
-  };
-
-  if (tcp.seq == t.rcv_nxt) {
-    if (plen <= space) {
-      t.rcvbuf.insert(t.rcvbuf.end(), payload.begin(), payload.end());
-      t.rcv_nxt += plen;
-      // Network-buffer-to-socket-buffer copy, charged per word like the
-      // library's staging append.
-      for (std::uint32_t off = 0; off < plen; off += 4) {
-        *cycles += node.cost().copy_loop_insns_per_word;
-      }
-      // Anything now contiguous in the OOO store rides along.
-      if (cfg_.reassemble) {
-        const bool more = t.ooo.contiguous_at(t.rcv_nxt);
-        if (more) {
-          std::vector<std::uint8_t> run =
-              t.ooo.pop_contiguous(t.rcv_nxt, adv_window(t));
-          t.rcvbuf.insert(t.rcvbuf.end(), run.begin(), run.end());
-          t.rcv_nxt += static_cast<std::uint32_t>(run.size());
-          stats_.ooo_reassembled += run.size();
-          for (std::uint32_t off = 0; off < run.size(); off += 4) {
-            *cycles += node.cost().copy_loop_insns_per_word;
-          }
-        }
-      }
-      if (t.acks_owed == 0) t.acks_owed = 1;
-      mark_dirty(t);
-      signal_readable(t);
-    } else {
-      ++stats_.rcv_overflow_drops;
-      owe_ack();
-    }
-    return;
-  }
-  if (seq_le(tcp.seq + plen, t.rcv_nxt)) {
-    ++stats_.dup_segments;
-    owe_ack();
-    return;
-  }
-  if (!cfg_.reassemble) {
-    // The pre-refactor receiver: anything not exactly in order is
-    // dropped and the sender must resend from rcv_nxt.
-    ++stats_.ooo_dropped;
-    owe_ack();
-    return;
-  }
-  const auto outcome =
-      t.ooo.insert(tcp.seq, payload, t.rcv_nxt, space, ooo_limit());
-  if (outcome.buffered > 0) {
-    ++stats_.ooo_buffered;
-  } else if (outcome.duplicate) {
-    ++stats_.dup_segments;
-  } else {
-    ++stats_.ooo_dropped;
-  }
-  owe_ack();  // distinct dup-ACK: feeds the peer's fast retransmit
-}
-
-void TcpEngine::enter_established(Tcb& t) {
-  t.state = TcpState::Established;
-  if (t.listener != nullptr) {
-    --t.listener->pending;
-    ++t.listener->accepted;
-    ++stats_.conns_accepted;
-    t.listener = nullptr;
-  }
-  if (!t.sndbuf.empty() || t.fin_pending) mark_dirty(t);
-  if (t.cbs.on_established) t.cbs.on_established(t.id);
-}
-
-void TcpEngine::enter_time_wait(Tcb& t) {
-  cancel_timer(t.retx_timer);
-  cancel_timer(t.persist_timer);
-  cancel_timer(t.timewait_timer);
-  t.state = TcpState::TimeWait;
-  t.timewait_timer = wheel_.arm(
-      link_.self().node().now() + cfg_.time_wait, cookie(t, kTimerTimeWait));
-}
-
-void TcpEngine::maybe_finish_close(Tcb& t) {
-  if (!t.fin_sent || t.snd_una != t.snd_nxt) return;
-  if (t.state == TcpState::FinSent) {
-    if (t.peer_fin) {
-      enter_time_wait(t);
-    } else if (t.timewait_timer == 0) {
-      // FIN_WAIT_2: our side is done; give the peer a bounded window to
-      // send its FIN before the flow is reclaimed.
-      t.timewait_timer =
-          wheel_.arm(link_.self().node().now() + cfg_.fin_wait,
-                     cookie(t, kTimerTimeWait));
-    }
-  } else if (t.state == TcpState::LastAck) {
-    destroy_tcb(t);
-  }
-}
-
-void TcpEngine::process_segment(Tcb& t, const TcpHeader& tcp,
-                                std::span<const std::uint8_t> payload,
-                                sim::Cycles* cycles) {
-  const auto plen = static_cast<std::uint32_t>(payload.size());
-
-  if (tcp.flags.rst) {
-    process_rst(t, tcp);
-    return;
-  }
-
-  switch (t.state) {
-    case TcpState::SynSent: {
-      if (tcp.flags.syn && tcp.flags.ack && tcp.ack == t.snd_nxt) {
-        t.rcv_nxt = tcp.seq + 1;
-        process_ack(t, tcp, plen);
-        if (t.acks_owed == 0) t.acks_owed = 1;  // complete the handshake
-        enter_established(t);
-        mark_dirty(t);
-      }
-      // A bare SYN would be a simultaneous open; the engine's peers are
-      // engines and libraries that never do that. Ignore.
-      return;
-    }
-    case TcpState::SynRcvd: {
-      if (tcp.flags.syn) {
-        // Retransmitted SYN: our SYN/ACK was lost; resend it.
-        ++stats_.dup_segments;
-        if (!t.retx.empty()) {
-          t.fast_retx_pending = true;
-          mark_dirty(t);
-        } else {
-          t.synack_queued = true;
-          mark_dirty(t);
-        }
-        return;
-      }
-      if (!tcp.flags.ack) return;
-      process_ack(t, tcp, plen);
-      if (t.snd_una != t.snd_nxt) return;  // not our SYN/ACK's ack
-      enter_established(t);
-      break;  // the completing ACK may carry data and/or FIN
-    }
-    case TcpState::TimeWait: {
-      // Only a retransmitted FIN is interesting: re-ACK it and restart
-      // 2MSL (the peer never saw our last ACK). Anything else draws a
-      // challenge ACK.
-      if (tcp.flags.fin) {
-        ++stats_.dup_segments;
-        cancel_timer(t.timewait_timer);
-        t.timewait_timer =
-            wheel_.arm(link_.self().node().now() + cfg_.time_wait,
-                       cookie(t, kTimerTimeWait));
-      } else {
-        ++stats_.timewait_drops;
-      }
-      if (t.acks_owed < kMaxAcksOwed) ++t.acks_owed;
-      mark_dirty(t);
-      return;
-    }
-    default:
-      if (tcp.flags.ack) process_ack(t, tcp, plen);
-      break;
-  }
-
-  if (t.dead) return;  // the ACK processing may have torn the flow down
-
-  if (plen > 0) {
-    switch (t.state) {
-      case TcpState::Established:
-      case TcpState::FinSent:
-        process_data(t, tcp, payload, cycles);
-        break;
-      default:
-        // Data after the peer's FIN is a protocol violation; re-ACK.
-        ++stats_.dup_segments;
-        if (t.acks_owed < kMaxAcksOwed) ++t.acks_owed;
-        mark_dirty(t);
-        break;
-    }
-  }
-
-  if (tcp.flags.fin) {
-    const std::uint32_t fin_seq = tcp.seq + plen;
-    if (!t.peer_fin && fin_seq == t.rcv_nxt) {
-      t.peer_fin = true;
-      t.rcv_nxt += 1;
-      if (t.acks_owed < kMaxAcksOwed) ++t.acks_owed;
-      if (t.state == TcpState::Established ||
-          t.state == TcpState::SynRcvd) {
-        t.state = TcpState::CloseWait;
-      }
-      mark_dirty(t);
-      signal_readable(t);  // EOF becomes visible
-    } else if (seq_lt(fin_seq, t.rcv_nxt)) {
-      // Old FIN (our ACK was lost): re-ACK it.
-      ++stats_.dup_segments;
-      if (t.acks_owed < kMaxAcksOwed) ++t.acks_owed;
-      mark_dirty(t);
-    }
-    // A FIN beyond a sequence gap waits for reassembly to close it.
-  }
-
-  maybe_finish_close(t);
+  FlowHost h(*this, t);
+  t.flow.open_passive(h, tcp);
 }
 
 // ------------------------------------------------------------- transmit
 
-sim::Sub<bool> TcpEngine::send_flow(Tcb& t, TcpFlags flags,
-                                    std::span<const std::uint8_t> payload,
-                                    bool queue_retx) {
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-
-  const std::uint32_t seq = t.snd_nxt;
-  sim::Cycles cycles = plen > 0 || flags.syn || flags.fin
-                           ? node.cost().tcp_send_overhead
-                           : node.cost().tcp_ack_overhead;
-  if (plen > 0) {
-    std::memcpy(p + kSegHdrLen, payload.data(), plen);
-    for (std::uint32_t off = 0; off < plen; off += 4) {
-      cycles += node.cost().copy_loop_insns_per_word;
-      cycles += node.dcache().access(pkt + kSegHdrLen + off,
-                                     std::min(4u, plen - off), true);
-    }
-  }
-
-  TcpHeader tcp;
-  tcp.src_port = t.key.local_port;
-  tcp.dst_port = t.key.remote_port;
-  tcp.seq = seq;
-  tcp.ack = flags.ack ? t.rcv_nxt : 0;
-  tcp.flags = flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(adv_window(t), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  t.last_adv_wnd = adv_window(t);
-
-  if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &dummy);
-    tcp.checksum = transport_checksum(
-        cfg_.local_ip, t.key.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = t.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = t.next_ident++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  const std::uint32_t consumed = plen + ((flags.syn || flags.fin) ? 1 : 0);
-  t.snd_nxt = seq + consumed;
-
-  if (queue_retx && consumed > 0) {
-    t.retx.push_back(RetxSegment{
-        seq, std::vector<std::uint8_t>(payload.begin(), payload.end()),
-        flags, 0});
-    if (t.retx_timer == 0) arm_retx_timer(t);
-    if (!t.rtt_pending) {
-      t.rtt_pending = true;
-      t.rtt_seq = seq + consumed;
-      t.rtt_sent_at = node.now();
-    }
-  }
-  ++stats_.segments_out;
-  if (plen == 0 && !flags.syn && !flags.fin) ++stats_.acks_sent;
-
-  co_await link_.self().compute(cycles);
-  const bool sent = co_await link_.send_ip(pkt, total);
+sim::Sub<bool> TcpEngine::transmit(TcpFlow::Frame f) {
+  co_await link_.self().compute(f.cycles);
+  const bool sent = co_await link_.send_ip(f.pkt, f.len);
   co_return sent;
-}
-
-sim::Sub<bool> TcpEngine::resend_front(Tcb& t) {
-  if (t.retx.empty()) co_return true;
-  RetxSegment& seg = t.retx.front();
-  const bool count_retry = t.retx_fired;
-  if (count_retry && ++seg.retries > cfg_.max_retries) {
-    abort_flow(t, /*rst_peer=*/false);
-    co_return false;
-  }
-  ++stats_.retransmits;
-  t.rtt_pending = false;  // Karn: never time a retransmitted flight
-
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(seg.payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-  if (plen > 0) std::memcpy(p + kSegHdrLen, seg.payload.data(), plen);
-
-  TcpHeader tcp;
-  tcp.src_port = t.key.local_port;
-  tcp.dst_port = t.key.remote_port;
-  tcp.seq = seg.seq;
-  tcp.ack = seg.flags.ack ? t.rcv_nxt : 0;
-  tcp.flags = seg.flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(adv_window(t), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum = transport_checksum(
-        cfg_.local_ip, t.key.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = t.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = t.next_ident++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  ++stats_.segments_out;
-  co_await link_.self().compute(node.cost().tcp_send_overhead);
-  co_await link_.send_ip(pkt, total);
-  co_return true;
-}
-
-sim::Sub<void> TcpEngine::send_raw_rst(const RawRst& r) {
-  sim::Node& node = link_.self().node();
-  const std::uint32_t pkt = link_.tx_alloc_ip(kSegHdrLen);
-  std::uint8_t* p = node.mem(pkt, kSegHdrLen);
-
-  TcpHeader tcp;
-  tcp.src_port = r.key.local_port;
-  tcp.dst_port = r.key.remote_port;
-  tcp.seq = r.seq;
-  tcp.ack = r.with_ack ? r.ack : 0;
-  tcp.flags.rst = true;
-  tcp.flags.ack = r.with_ack;
-  tcp.window = 0;
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum =
-        transport_checksum(cfg_.local_ip, r.key.remote_ip, kIpProtoTcp,
-                           {p + kIpHeaderLen, kTcpHeaderLen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = r.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(kSegHdrLen);
-  ip.ident = 0;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  ++stats_.rsts_sent;
-  ++stats_.segments_out;
-  co_await link_.self().compute(node.cost().tcp_ack_overhead);
-  co_await link_.send_ip(pkt, kSegHdrLen);
 }
 
 sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
   if (t.dead) co_return;
+  FlowHost h(*this, t);
+  TcpFlow& f = t.flow;
 
-  // Handshake segments.
-  if (t.syn_queued) {
-    t.syn_queued = false;
-    TcpFlags f;
-    f.syn = true;
-    const bool sent = co_await send_flow(t, f, {}, /*queue_retx=*/true);
+  // Handshake segments, then loss recovery: fast retransmit, or an RTO
+  // resend that charges the retry budget and may tear the flow down.
+  for (TcpFlow::Frame fr = f.next_control(h); fr.len > 0;
+       fr = f.next_control(h)) {
+    const bool sent = co_await transmit(fr);
     (void)sent;
+    if (fr.resent) f.rearm(h);
   }
-  if (t.synack_queued && !t.dead) {
-    t.synack_queued = false;
-    TcpFlags f;
-    f.syn = true;
-    f.ack = true;
-    const bool sent = co_await send_flow(t, f, {}, /*queue_retx=*/true);
-    (void)sent;
-  }
-
-  // Loss recovery: fast retransmit (no retry charge) or RTO resend
-  // (charges the retry budget; may tear the flow down).
-  if ((t.fast_retx_pending || t.retx_fired) && !t.dead) {
-    const bool alive = co_await resend_front(t);
-    t.fast_retx_pending = false;
-    t.retx_fired = false;
-    if (!alive) co_return;
-    arm_retx_timer(t);
-  }
+  if (settle(t)) co_return;
 
   // Data, segmented at the MSS under min(peer window, cwnd).
   bool sent_data = false;
-  while (!t.dead && !t.sndbuf.empty() &&
-         (t.state == TcpState::Established ||
-          t.state == TcpState::CloseWait)) {
-    const std::uint32_t in_flight = t.snd_nxt - t.snd_una;
-    const std::uint32_t wnd = std::min(t.peer_wnd, t.cc.cwnd());
-    if (wnd <= in_flight) break;
+  while (!t.sndbuf.empty()) {
     const std::uint32_t n = std::min<std::uint32_t>(
-        {wnd - in_flight, cfg_.mss,
-         static_cast<std::uint32_t>(t.sndbuf.size())});
+        f.send_room(h), static_cast<std::uint32_t>(t.sndbuf.size()));
     if (n == 0) break;
-    std::vector<std::uint8_t> seg(t.sndbuf.begin(),
-                                  t.sndbuf.begin() + n);
+    std::vector<std::uint8_t> seg(t.sndbuf.begin(), t.sndbuf.begin() + n);
     t.sndbuf.erase(t.sndbuf.begin(), t.sndbuf.begin() + n);
-    TcpFlags f;
-    f.ack = true;
-    f.psh = t.sndbuf.empty();
-    const bool sent = co_await send_flow(t, f, seg, /*queue_retx=*/true);
+    TcpFlags fl;
+    fl.ack = true;
+    fl.psh = t.sndbuf.empty();
+    const bool sent = co_await transmit(f.emit(h, fl, seg, true));
     (void)sent;
     sent_data = true;
   }
-  if (sent_data) t.acks_owed = 0;  // data segments carried the ACK
+  if (sent_data) f.acked_by_data();
 
-  // Zero-window persist: without it, a window that reopens via a lost
-  // ACK deadlocks both sides (satellite fix shared with the library).
-  if (!t.dead && !t.sndbuf.empty() && t.peer_wnd == 0 &&
-      t.snd_nxt == t.snd_una) {
-    if (t.persist_fire) {
-      t.persist_fire = false;
-      ++stats_.persist_probes;
-      std::uint8_t probe = t.sndbuf.front();
-      t.sndbuf.pop_front();
-      TcpFlags f;
-      f.ack = true;
-      // The probe byte rides the normal retransmission machinery, so
-      // backoff and retry exhaustion come for free.
-      const bool sent =
-          co_await send_flow(t, f, {&probe, 1}, /*queue_retx=*/true);
-      (void)sent;
-    } else if (t.persist_timer == 0) {
-      t.persist_timer = wheel_.arm(
-          link_.self().node().now() + t.rto_cur, cookie(t, kTimerPersist));
-    }
+  if (!t.sndbuf.empty() && f.probe_due(h)) {
+    std::uint8_t probe = t.sndbuf.front();
+    t.sndbuf.pop_front();
+    TcpFlags fl;
+    fl.ack = true;
+    const bool sent = co_await transmit(f.emit(h, fl, {&probe, 1}, true));
+    (void)sent;
   }
 
-  // FIN once the send buffer has drained.
-  if (!t.dead && t.fin_pending && !t.fin_sent && t.sndbuf.empty() &&
-      (t.state == TcpState::Established ||
-       t.state == TcpState::CloseWait)) {
-    t.state = t.state == TcpState::Established ? TcpState::FinSent
-                                               : TcpState::LastAck;
-    t.fin_sent = true;
-    TcpFlags f;
-    f.fin = true;
-    f.ack = true;
-    const bool sent = co_await send_flow(t, f, {}, /*queue_retx=*/true);
-    (void)sent;
-    t.acks_owed = 0;
+  if (t.sndbuf.empty()) {
+    const TcpFlow::Frame fin = f.next_fin(h);
+    if (fin.len > 0) {
+      const bool sent = co_await transmit(fin);
+      (void)sent;
+    }
   }
 
   // Pure ACKs: each owed ACK goes out separately (out-of-order arrivals
   // owe distinct duplicates — they feed the peer's fast retransmit).
-  while (!t.dead && t.acks_owed > 0) {
-    --t.acks_owed;
-    TcpFlags f;
-    f.ack = true;
-    const bool sent = co_await send_flow(t, f, {}, /*queue_retx=*/false);
+  for (TcpFlow::Frame fr = f.next_ack(h); fr.len > 0; fr = f.next_ack(h)) {
+    const bool sent = co_await transmit(fr);
     (void)sent;
   }
 }
@@ -954,7 +427,12 @@ sim::Sub<void> TcpEngine::flush() {
     std::vector<RawRst> rsts;
     rsts.swap(raw_rsts_);
     for (const RawRst& r : rsts) {
-      co_await send_raw_rst(r);
+      ++stats_.rsts_sent;
+      ++stats_.segments_out;
+      const bool sent = co_await transmit(TcpFlow::encode_rst(
+          link_, cfg_.checksum, cfg_.local_ip, r.key, r.seq, r.ack,
+          r.with_ack));
+      (void)sent;
     }
     std::vector<ConnId> work;
     work.swap(dirty_);

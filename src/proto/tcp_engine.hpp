@@ -1,31 +1,28 @@
 // Event-driven multi-connection TCP: one process, one link, many flows.
 //
-// TcpConnection (tcp.hpp) is the paper's shape — one process per
-// connection, a blocking read/write API, and a shared TCB so a downloaded
-// handler can run the fast path. That shape cannot scale to a c10k
-// workload inside the simulator: every process owns a fixed 1 MB segment
-// and a node holds 16 MB, so ten thousand blocking connections are
-// impossible by construction. TcpEngine is the classic answer — an
-// event loop multiplexing every connection over a single link binding:
+// TcpConnection (tcp.hpp) is the paper's shape: one process per
+// connection, a blocking API, and a shared TCB for a downloaded
+// fast-path handler. Every process owns a fixed 1 MB segment and a node
+// holds 16 MB, so ten thousand blocking connections cannot fit inside the
+// simulator. TcpEngine is the classic answer, an event loop that drives
+// one TcpFlow machine (tcp_flow.hpp) per connection over a single link
+// binding. The machine makes every protocol decision; the engine keeps
+// what multiplexing needs:
 //
 //  * a connection table sharded by the same flow hash the multi-queue
 //    receive path steers on (net::SteeringPolicy::flow_channel), so an
 //    RX queue's segments land in a shard owned by that queue's CPU;
-//  * a TcpListener with a SYN backlog that spawns per-connection TCBs on
-//    inbound SYNs, instead of the library's one-pre-created-TCB accept();
-//  * per-flow payload buffers in host memory (the sim charges the copy
+//  * a TcpListener with a SYN backlog that spawns a flow per acceptable
+//    inbound SYN;
+//  * per-flow byte buffers in host memory (the sim charges the copy
 //    cycles, the bytes never occupy the 1 MB segment), which is what
-//    makes ten thousand concurrent TCBs fit;
-//  * one shared timer wheel for every flow's retransmission / persist /
-//    TIME_WAIT timers, cookie-keyed by (conn id << 2 | kind);
-//  * segments for which no flow state exists answered with a RST, like
-//    a real host (the library's connections predate their peer's first
-//    segment, so it could afford silence — a listener cannot).
-//
-// Protocol behaviour (RFC 6298 adaptive RTO with backoff, RFC 5681
-// congestion window + dup-ACK fast retransmit, RST validation,
-// TIME_WAIT, out-of-order reassembly, zero-window persist probes)
-// reuses the exact primitives TcpConnection does (tcp_control.hpp).
+//    makes ten thousand concurrent flows fit;
+//  * one shared timer wheel for every flow's timers, cookie-keyed by
+//    (conn id << 2 | kind);
+//  * a RST for every segment no flow or listener owns;
+//  * batched output: flows that owe segments are flushed once per step,
+//    with at most a few distinct pure ACKs owed per flow;
+//  * callbacks, and flow destruction deferred to the end of a step.
 #pragma once
 
 #include <cstdint>
@@ -40,21 +37,10 @@
 #include "net/rx_queue.hpp"
 #include "proto/headers.hpp"
 #include "proto/link.hpp"
-#include "proto/tcp.hpp"
-#include "proto/tcp_control.hpp"
+#include "proto/tcp_flow.hpp"
 #include "sim/timer_wheel.hpp"
 
 namespace ash::proto {
-
-/// Identity of one flow from the engine's point of view. The local IP is
-/// engine-wide, so it is not part of the key.
-struct FlowKey {
-  Ipv4Addr remote_ip;
-  std::uint16_t remote_port = 0;
-  std::uint16_t local_port = 0;
-
-  friend bool operator==(const FlowKey&, const FlowKey&) = default;
-};
 
 /// The flow label the receive path and the connection table share: both
 /// sides hash the 4-tuple the same way, so SteeringPolicy::pick sends a
@@ -69,33 +55,19 @@ class TcpEngine {
  public:
   using ConnId = std::uint32_t;
 
-  struct Config {
+  struct Config : TcpParams {
+    Config() {
+      mss = 1456;
+      iss = 1;  // per-flow ISS derives from this
+    }
     Ipv4Addr local_ip;
-    std::uint32_t mss = 1456;
-    std::uint32_t window = 8192;
-    bool checksum = true;
-    sim::Cycles rto = sim::us(100000.0);
-    sim::Cycles min_rto = sim::us(25000.0);
-    sim::Cycles max_rto = sim::us(2000000.0);
-    sim::Cycles time_wait = sim::us(10000.0);
-    /// Half-closed give-up: our FIN is acknowledged but the peer never
-    /// sends its own (FIN_WAIT_2 in RFC terms).
-    sim::Cycles fin_wait = sim::us(1000000.0);
-    int max_retries = 8;
-    bool reassemble = true;
-    std::uint32_t ooo_limit = 0;     // bytes; 0 = 2 * window
     /// Host-side receive buffer cap per connection; doubles as the
     /// advertised window bound.
     std::uint32_t rcv_limit = 16384;
-    std::uint32_t iss = 1;           // per-flow ISS derives from this
-    /// Answer segments addressed to no flow and no listener with a RST.
-    bool rst_unknown = true;
     /// Connection-table shards; align with the RX queue count so each
     /// queue's flows hash into its own shard.
     std::size_t shards = 4;
     net::SteeringPolicy steering{};
-    sim::Cycles wheel_granularity = sim::us(1000.0);
-    std::size_t wheel_buckets = 256;
     /// Max frames drained per step before timers/output run again.
     std::uint32_t rx_batch = 64;
   };
@@ -126,32 +98,7 @@ class TcpEngine {
     std::uint64_t backlog_drops = 0;  // SYNs dropped at full backlog
   };
 
-  struct Stats {
-    std::uint64_t segments_in = 0;
-    std::uint64_t segments_out = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t rto_timeouts = 0;
-    std::uint64_t dup_segments = 0;
-    std::uint64_t ooo_buffered = 0;
-    std::uint64_t ooo_reassembled = 0;
-    std::uint64_t ooo_dropped = 0;
-    std::uint64_t rsts_received = 0;
-    std::uint64_t rsts_ignored = 0;
-    std::uint64_t rsts_sent = 0;
-    std::uint64_t persist_probes = 0;
-    std::uint64_t window_updates = 0;
-    std::uint64_t cksum_failures = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t conns_opened = 0;    // active opens issued
-    std::uint64_t conns_accepted = 0;  // passive opens established
-    std::uint64_t conns_closed = 0;    // TCBs destroyed (any cause)
-    std::uint64_t syn_backlog_drops = 0;
-    std::uint64_t unknown_flow_rsts = 0;
-    std::uint64_t rcv_overflow_drops = 0;  // in-order but rcvbuf full
-    std::uint64_t timewait_drops = 0;
-  };
+  using Stats = TcpStats;
 
   TcpEngine(Link& link, const Config& config);
   ~TcpEngine();
@@ -213,63 +160,19 @@ class TcpEngine {
   std::vector<std::size_t> shard_sizes() const;
 
  private:
-  struct RetxSegment {
-    std::uint32_t seq = 0;
-    std::vector<std::uint8_t> payload;
-    TcpFlags flags;
-    int retries = 0;
-  };
-
-  enum TimerKind : std::uint64_t {
-    kTimerRetx = 0,
-    kTimerPersist = 1,
-    kTimerTimeWait = 2,  // also the FIN_WAIT_2 give-up
-  };
+  class FlowHost;
 
   struct Tcb {
     ConnId id = 0;
-    FlowKey key;
     std::size_t shard = 0;
-    TcpState state = TcpState::Closed;
     TcpListener* listener = nullptr;  // set on passive opens until est.
     Callbacks cbs;
-
-    std::uint32_t snd_nxt = 0;
-    std::uint32_t snd_una = 0;
-    std::uint32_t rcv_nxt = 0;
-    std::uint32_t peer_wnd = 0;
-    std::uint32_t last_adv_wnd = 0;
-    std::uint16_t next_ident = 1;
-
+    TcpFlow flow;
     std::deque<std::uint8_t> sndbuf;  // queued, not yet segmented
     std::deque<std::uint8_t> rcvbuf;  // in-order, not yet read
-    std::deque<RetxSegment> retx;
-    OooBuffer ooo;
-
-    RttEstimator rtt;
-    CongestionWindow cc;
-    sim::Cycles rto_cur = 0;
-    std::uint32_t dup_acks = 0;
-    bool rtt_pending = false;
-    std::uint32_t rtt_seq = 0;
-    sim::Cycles rtt_sent_at = 0;
-
-    sim::TimerWheel::Id retx_timer = 0;
-    sim::TimerWheel::Id persist_timer = 0;
-    sim::TimerWheel::Id timewait_timer = 0;
-
-    bool syn_queued = false;      // active open: SYN not yet sent
-    bool synack_queued = false;   // passive open: SYN/ACK not yet sent
-    bool fin_pending = false;     // close() called; FIN after sndbuf
-    bool fin_sent = false;
-    bool peer_fin = false;
     bool readable_eof_signaled = false;
-    std::uint32_t acks_owed = 0;  // distinct pure ACKs to emit
-    bool retx_fired = false;      // RTO expired; resend + count retry
-    bool fast_retx_pending = false;
-    bool persist_fire = false;
-    bool dirty = false;           // queued on the flush list
-    bool dead = false;            // queued for destruction
+    bool dirty = false;  // queued on the flush list
+    bool dead = false;   // queued for destruction
   };
 
   struct FlowHash {
@@ -283,46 +186,23 @@ class TcpEngine {
   const Tcb* find(ConnId id) const noexcept;
   Tcb* lookup(const FlowKey& key) noexcept;
   Tcb& create_tcb(const FlowKey& key, Callbacks cbs);
-  void destroy_tcb(Tcb& t);      // deferred: marks dead, reaped per step
+  /// Destroy the flow once its machine has closed it (deferred: marks it
+  /// dead, reaped per step). True when the flow is dead.
+  bool settle(Tcb& t);
   void reap_dead();
   void mark_dirty(Tcb& t);
-
-  std::uint64_t cookie(const Tcb& t, TimerKind kind) const {
-    return (static_cast<std::uint64_t>(t.id) << 2) | kind;
-  }
-  void cancel_timer(sim::TimerWheel::Id& id);
-  void arm_retx_timer(Tcb& t);
-
-  std::uint32_t adv_window(const Tcb& t) const;
-  std::uint32_t ooo_limit() const {
-    return cfg_.ooo_limit ? cfg_.ooo_limit : 2 * cfg_.window;
-  }
 
   /// Parse + dispatch one frame. Pure state mutation: all transmission
   /// is deferred to the flush pass (segments batch per step).
   void process_frame(const net::RxDesc& d, sim::Cycles* cycles);
-  void process_segment(Tcb& t, const TcpHeader& tcp,
-                       std::span<const std::uint8_t> payload,
-                       sim::Cycles* cycles);
-  void process_rst(Tcb& t, const TcpHeader& tcp);
-  void process_ack(Tcb& t, const TcpHeader& tcp, std::uint32_t plen);
-  void process_data(Tcb& t, const TcpHeader& tcp,
-                    std::span<const std::uint8_t> payload,
-                    sim::Cycles* cycles);
   void handle_syn(const FlowKey& key, const TcpHeader& tcp);
   void enter_established(Tcb& t);
-  void enter_time_wait(Tcb& t);
-  void maybe_finish_close(Tcb& t);
-  void abort_flow(Tcb& t, bool rst_peer);
   void signal_readable(Tcb& t);
 
   void service_timers();
   sim::Sub<void> flush();
   sim::Sub<void> pump_tcb(Tcb& t);
-  sim::Sub<bool> send_flow(Tcb& t, TcpFlags flags,
-                           std::span<const std::uint8_t> payload,
-                           bool queue_retx);
-  sim::Sub<bool> resend_front(Tcb& t);
+  sim::Sub<bool> transmit(TcpFlow::Frame f);
 
   /// RST owed to a segment that matched no flow (and no listener).
   struct RawRst {
@@ -331,7 +211,6 @@ class TcpEngine {
     std::uint32_t ack = 0;
     bool with_ack = false;
   };
-  sim::Sub<void> send_raw_rst(const RawRst& r);
 
   Link& link_;
   Config cfg_;

@@ -5,7 +5,6 @@
 
 #include "sim/node.hpp"
 #include "util/byteorder.hpp"
-#include "util/checksum.hpp"
 
 namespace ash::proto {
 
@@ -118,8 +117,6 @@ sim::Sub<UdpSocket::Datagram> UdpSocket::recv_in_place() {
     }
     if (opt_.checksum) {
       // Verify over the UDP segment (header + payload), a separate pass.
-      // With the transmitted checksum field in place, the ones'-complement
-      // sum over pseudo-header + segment folds to 0xffff when intact.
       std::uint32_t dummy = 0;
       const std::uint32_t seg = d.addr + link_.rx_ip_offset() + kIpHeaderLen;
       const std::uint32_t seg_len = kUdpHeaderLen + dg->payload_len;
@@ -129,16 +126,12 @@ sim::Sub<UdpSocket::Datagram> UdpSocket::recv_in_place() {
       co_await link_.self().compute(ck_cycles);
       const std::uint8_t* p = node.mem(seg, seg_len);
       const std::uint16_t got = util::load_be16(p + 6);
-      if (got != 0) {  // 0 = sender did not checksum (RFC 768)
-        std::uint32_t acc = pseudo_header_sum(
-            opt_.remote_ip, opt_.local_ip, kIpProtoUdp,
-            static_cast<std::uint16_t>(seg_len));
-        acc = util::cksum_partial({p, seg_len}, acc);
-        if (util::fold16(acc) != 0xffff) {
-          ++cksum_fail_;
-          link_.release(d);
-          continue;
-        }
+      // 0 = sender did not checksum (RFC 768).
+      if (got != 0 && !transport_checksum_ok(opt_.remote_ip, opt_.local_ip,
+                                             kIpProtoUdp, {p, seg_len})) {
+        ++cksum_fail_;
+        link_.release(d);
+        continue;
       }
     }
     co_return *dg;

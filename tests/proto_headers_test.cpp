@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/checksum.hpp"
@@ -139,6 +140,36 @@ TEST(Headers, TransportChecksumVerifies) {
                           static_cast<std::uint16_t>(seg.size()));
   acc = util::cksum_partial(seg, acc);
   EXPECT_NE(util::fold16(acc), 0xffff);
+  seg[10] ^= 0x40;
+
+  // The inbound check accepts the intact UDP segment and a TCP segment
+  // checksummed by its sender, and rejects every single-bit flip of
+  // either, or a segment claimed by another source address.
+  std::vector<std::uint8_t> tcp(kTcpHeaderLen + 29);
+  for (auto& b : tcp) b = static_cast<std::uint8_t>(rng.next());
+  TcpHeader th;
+  th.src_port = 4000;
+  th.dst_port = 80;
+  th.seq = 0x12345678;
+  th.flags.ack = true;
+  th.window = 8192;
+  encode_tcp({tcp.data(), kTcpHeaderLen}, th);
+  th.checksum = transport_checksum(src, dst, kIpProtoTcp, tcp);
+  encode_tcp({tcp.data(), kTcpHeaderLen}, th);
+  for (const auto& [proto, bytes] :
+       {std::pair{kIpProtoUdp, seg}, std::pair{kIpProtoTcp, tcp}}) {
+    std::vector<std::uint8_t> b = bytes;
+    EXPECT_TRUE(transport_checksum_ok(src, dst, proto, b));
+    EXPECT_FALSE(transport_checksum_ok(Ipv4Addr::of(10, 0, 0, 9), dst,
+                                       proto, b));
+    int accepted = 0;
+    for (std::size_t bit = 0; bit < 8 * b.size(); ++bit) {
+      b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      accepted += transport_checksum_ok(src, dst, proto, b) ? 1 : 0;
+      b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(accepted, 0) << "protocol " << int{proto};
+  }
 }
 
 TEST(Headers, SeqArithmeticWrapsCorrectly) {

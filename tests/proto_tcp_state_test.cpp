@@ -1,16 +1,19 @@
-// TcpEngine state-machine conformance: the fault-handling behaviors the
-// c10k refactor added. RST validation in every reachable state (RFC 5961
-// spirit), TIME_WAIT semantics (RFC 1337 RST immunity, FIN re-ACK with
-// 2MSL restart), simultaneous close, zero-window persist probes against
-// a full receiver, and the duplicate/out-of-order counter split.
+// TcpFlow state-machine conformance: RST validation in every reachable
+// state (RFC 5961 spirit), TIME_WAIT semantics (RFC 1337 RST immunity,
+// FIN re-ACK with 2MSL restart, challenge ACKs), SYN_RCVD's answer to a
+// retransmitted SYN, simultaneous close, zero-window persist probes
+// against a full receiver, and the duplicate/out-of-order counter split.
 //
-// Engine-vs-engine tests drive two TcpEngines over a clean AN2 link;
-// sequence-validation tests script one side by hand (a "raw peer" that
-// encodes exact IP+TCP segments), because only a misbehaving peer can
-// send what these paths must reject.
+// The raw-peer cases form one table run against both drivers of the
+// machine: TcpEngineState.<Case> drives a TcpEngine, TcpConnState.<Case>
+// the one-flow TcpConnection library. Sequence-validation cases script
+// the peer by hand (a "raw peer" that encodes exact IP+TCP segments),
+// because only a misbehaving peer can send what these paths must reject.
+// Engine-vs-engine cases drive two TcpEngines over a clean AN2 link.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -18,6 +21,7 @@
 
 #include "proto/an2_link.hpp"
 #include "proto/headers.hpp"
+#include "proto/tcp.hpp"
 #include "proto/tcp_engine.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
@@ -137,6 +141,103 @@ TcpFlags flags_of(bool syn, bool ack, bool fin = false, bool rst = false) {
   return f;
 }
 
+// ------------------------------------------------- drivers under test
+//
+// A table case runs the driver on node a (10.0.0.1) with checksums off,
+// either connecting to 10.0.0.2:80 from port 4000 or listening on port 80
+// (for a peer at port 5555); node b runs the raw peer.
+
+struct Role {
+  bool passive = false;
+  bool close_on_established = false;  // else hold the flow until it ends
+  sim::Cycles time_wait = us(10000.0);
+  sim::Cycles run_for = us(500000.0);
+};
+
+/// What a case sees of the driver under test.
+struct Observed {
+  bool established = false;
+  bool closed = false;
+  sim::Cycles closed_at = 0;
+  TcpStats stats{};
+  /// The flow's state; set only while the driver runs.
+  std::function<std::optional<TcpState>()> state;
+};
+
+struct EngineDriver {
+  static void spawn(World& w, Observed& o, Role r) {
+    w.a.kernel().spawn("engine", [&w, &o, r](Process& self) -> Task {
+      An2Link link(self, w.dev_a, {});
+      TcpEngine::Config cfg = engine_cfg(kIpA, /*checksum=*/false);
+      cfg.time_wait = r.time_wait;
+      TcpEngine eng(link, cfg);
+      TcpEngine::ConnId id = 0;
+      TcpEngine::Callbacks cbs;
+      cbs.on_established = [&](TcpEngine::ConnId cid) {
+        id = cid;
+        o.established = true;
+        if (r.close_on_established) eng.close(cid);
+      };
+      cbs.on_closed = [&](TcpEngine::ConnId) {
+        o.closed = true;
+        o.closed_at = w.a.now();
+      };
+      if (r.passive) {
+        TcpEngine::ListenConfig lc;
+        lc.callbacks = cbs;
+        eng.listen(80, lc);
+      } else {
+        id = eng.connect(kIpB, 80, 4000, cbs);
+        EXPECT_NE(id, 0u);
+      }
+      o.state = [&] { return eng.state(id); };
+      co_await eng.run(o.closed, self.node().now() + r.run_for);
+      o.stats = eng.stats();
+      o.state = nullptr;
+    });
+  }
+};
+
+struct ConnDriver {
+  static void spawn(World& w, Observed& o, Role r) {
+    w.a.kernel().spawn("library", [&w, &o, r](Process& self) -> Task {
+      An2Link link(self, w.dev_a, {});
+      TcpConfig cfg;
+      cfg.local_ip = kIpA;
+      cfg.remote_ip = kIpB;
+      cfg.local_port = r.passive ? 80 : 4000;
+      cfg.remote_port = r.passive ? 5555 : 80;
+      cfg.checksum = false;
+      cfg.time_wait = r.time_wait;
+      TcpConnection conn(link, cfg);
+      o.state = [&] { return std::optional<TcpState>(conn.state()); };
+      if (r.passive) {
+        o.established = co_await conn.accept();
+      } else {
+        o.established = co_await conn.connect();
+      }
+      if (o.established && r.close_on_established) {
+        co_await conn.close();
+      } else if (o.established) {
+        for (;;) {
+          const std::uint32_t n =
+              co_await conn.read_into(self.segment().base, 2048);
+          if (n == 0) break;  // EOF or teardown
+        }
+      }
+      o.closed = conn.state() == TcpState::Closed;
+      o.closed_at = w.a.now();
+      o.stats = conn.stats();
+      o.state = nullptr;
+    });
+  }
+};
+
+/// One table row: the case, run against each driver.
+#define TCP_STATE_CASE(Name, fn)                       \
+  TEST(TcpEngineState, Name) { fn<EngineDriver>(); } \
+  TEST(TcpConnState, Name) { fn<ConnDriver>(); }
+
 // --------------------------------------------------------- RST handling
 
 TEST(TcpEngineState, RstTearsDownSynSent) {
@@ -175,50 +276,78 @@ TEST(TcpEngineState, RstTearsDownSynSent) {
   EXPECT_EQ(stats_b.rsts_sent, 1u);
 }
 
-TEST(TcpEngineState, EstablishedRstRequiresInWindowSeq) {
-  // Blind-reset protection: a RST outside the receive window is ignored
-  // (counted), one at rcv_nxt kills the flow.
-  World w;
-  bool established = false, closed = false;
-  TcpEngine::Stats stats_a{};
+/// Raw-peer side of an active open: take the SYN, answer with a SYN/ACK
+/// at sequence 9000, and wait for the handshake ACK. The driver's ISS, or
+/// nothing on failure.
+sim::Sub<std::optional<std::uint32_t>> raw_accept(An2Link& link) {
+  const auto syn = co_await raw_recv(link, us(100000.0));
+  if (!syn.has_value() || !syn->tcp.flags.syn) {
+    ADD_FAILURE() << "no SYN from the driver";
+    co_return std::nullopt;
+  }
+  const std::uint32_t iss = syn->tcp.seq;
+  co_await raw_send(link, kIpB, kIpA,
+                    make_seg(80, 4000, 9000, iss + 1, flags_of(true, true)),
+                    {});
+  const auto hs_ack = co_await raw_recv(link, us(100000.0));
+  if (!hs_ack.has_value()) {
+    ADD_FAILURE() << "handshake ACK never arrived";
+    co_return std::nullopt;
+  }
+  co_return iss;
+}
 
-  w.a.kernel().spawn("client", [&](Process& self) -> Task {
-    An2Link link(self, w.dev_a, {});
-    TcpEngine eng(link, engine_cfg(kIpA, /*checksum=*/false));
-    TcpEngine::Callbacks cbs;
-    cbs.on_established = [&](TcpEngine::ConnId) { established = true; };
-    cbs.on_closed = [&](TcpEngine::ConnId) { closed = true; };
-    const TcpEngine::ConnId id = eng.connect(kIpB, 80, 4000, cbs);
-    EXPECT_NE(id, 0u);
-    co_await eng.run(closed, self.node().now() + us(500000.0));
-    stats_a = eng.stats();
-  });
+template <class Driver>
+void rst_from_raw_peer_tears_down_syn_sent() {
+  // What a host with no listener answers a SYN with: RST|ACK covering
+  // the SYN. The connecting flow must die without ever establishing.
+  World w;
+  Observed o;
+  Driver::spawn(w, o, Role{.run_for = us(300000.0)});
   w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
     An2Link link(self, w.dev_b, {});
     const auto syn = co_await raw_recv(link, us(100000.0));
     if (!syn.has_value() || !syn->tcp.flags.syn) {
-      ADD_FAILURE() << "no SYN from the engine";
+      ADD_FAILURE() << "no SYN from the driver";
       co_return;
     }
-    const std::uint32_t iss = syn->tcp.seq;
-    co_await raw_send(link, kIpB, kIpA,
-                      make_seg(80, 4000, 9000, iss + 1, flags_of(true, true)),
-                      {});
-    const auto hs_ack = co_await raw_recv(link, us(100000.0));
-    if (!hs_ack.has_value()) {
-      ADD_FAILURE() << "handshake ACK never arrived";
-      co_return;
-    }
+    co_await raw_send(
+        link, kIpB, kIpA,
+        make_seg(80, 4000, 0, syn->tcp.seq + 1, flags_of(false, true, false,
+                                                        true)),
+        {});
+  });
+  w.sim.run(us(1e6));
 
-    // Out of window by a wide margin (rcv window is 16 KB): ignored.
+  EXPECT_TRUE(o.closed);
+  EXPECT_FALSE(o.established);
+  EXPECT_EQ(o.stats.rsts_received, 1u);
+  EXPECT_EQ(o.stats.aborts, 1u);
+}
+TCP_STATE_CASE(RawPeerRstTearsDownSynSent,
+               rst_from_raw_peer_tears_down_syn_sent)
+
+template <class Driver>
+void established_rst_requires_in_window_seq() {
+  // Blind-reset protection: a RST outside the receive window is ignored
+  // (counted), one at rcv_nxt kills the flow.
+  World w;
+  Observed o;
+  Driver::spawn(w, o, Role{});
+  w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
+    An2Link link(self, w.dev_b, {});
+    const auto iss = co_await raw_accept(link);
+    if (!iss.has_value()) co_return;
+
+    // Out of window by a wide margin (receive windows are 8-16 KB).
     co_await raw_send(
         link, kIpB, kIpA,
         make_seg(80, 4000, 9001 + 40000, 0, flags_of(false, false, false,
                                                      true)),
         {});
     co_await self.sleep_for(us(3000.0));
-    EXPECT_TRUE(established);
-    EXPECT_FALSE(closed);
+    EXPECT_TRUE(o.established);
+    EXPECT_FALSE(o.closed);
 
     // Exactly at rcv_nxt: accepted.
     co_await raw_send(
@@ -228,11 +357,67 @@ TEST(TcpEngineState, EstablishedRstRequiresInWindowSeq) {
   });
   w.sim.run(us(1e6));
 
-  EXPECT_TRUE(established);
-  EXPECT_TRUE(closed);
-  EXPECT_EQ(stats_a.rsts_ignored, 1u);
-  EXPECT_EQ(stats_a.rsts_received, 1u);
+  EXPECT_TRUE(o.established);
+  EXPECT_TRUE(o.closed);
+  EXPECT_EQ(o.stats.rsts_ignored, 1u);
+  EXPECT_EQ(o.stats.rsts_received, 1u);
 }
+TCP_STATE_CASE(EstablishedRstRequiresInWindowSeq,
+               established_rst_requires_in_window_seq)
+
+template <class Driver>
+void syn_rcvd_retransmitted_syn_draws_synack() {
+  // The peer's SYN is retransmitted because our SYN/ACK was lost: answer
+  // at once with the same SYN/ACK instead of waiting out our RTO.
+  World w;
+  Observed o;
+  Driver::spawn(w, o, Role{.passive = true});
+  sim::Cycles synack_delay = 0;
+  w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
+    An2Link link(self, w.dev_b, {});
+    co_await self.sleep_for(us(500.0));
+    co_await raw_send(link, kIpB, kIpA,
+                      make_seg(5555, 80, 7000, 0, flags_of(true, false)), {});
+    const auto synack = co_await raw_recv(link, us(100000.0));
+    if (!synack.has_value()) {
+      ADD_FAILURE() << "no SYN/ACK from the listener";
+      co_return;
+    }
+    const sim::Cycles resent_at = self.node().now();
+    co_await raw_send(link, kIpB, kIpA,
+                      make_seg(5555, 80, 7000, 0, flags_of(true, false)), {});
+    // Well inside the 100 ms initial RTO.
+    const auto again = co_await raw_recv(link, us(10000.0));
+    if (!again.has_value()) {
+      ADD_FAILURE() << "the retransmitted SYN drew no SYN/ACK";
+      co_return;
+    }
+    synack_delay = self.node().now() - resent_at;
+    EXPECT_TRUE(again->tcp.flags.syn && again->tcp.flags.ack);
+    EXPECT_EQ(again->tcp.seq, synack->tcp.seq);
+    EXPECT_EQ(again->tcp.ack, 7001u);
+
+    // Complete the handshake, then reset the flow so the driver stops.
+    co_await raw_send(
+        link, kIpB, kIpA,
+        make_seg(5555, 80, 7001, synack->tcp.seq + 1, flags_of(false, true)),
+        {});
+    co_await self.sleep_for(us(1000.0));
+    co_await raw_send(
+        link, kIpB, kIpA,
+        make_seg(5555, 80, 7001, 0, flags_of(false, false, false, true)), {});
+  });
+  w.sim.run(us(1e6));
+
+  EXPECT_GT(synack_delay, 0u);
+  EXPECT_TRUE(o.established);
+  EXPECT_TRUE(o.closed);
+  EXPECT_EQ(o.stats.dup_segments, 1u);  // the retransmitted SYN
+  EXPECT_EQ(o.stats.retransmits, 1u);   // the SYN/ACK it drew
+  EXPECT_EQ(o.stats.rto_timeouts, 0u);
+}
+TCP_STATE_CASE(SynRcvdRetransmittedSynDrawsSynAck,
+               syn_rcvd_retransmitted_syn_draws_synack)
 
 TEST(TcpEngineState, SynRcvdRstReleasesTheBacklogSlot) {
   // A reset half-open connection must free its SYN-backlog slot without
@@ -293,70 +478,60 @@ TEST(TcpEngineState, SynRcvdRstReleasesTheBacklogSlot) {
 
 // ----------------------------------------------------------- TIME_WAIT
 
-TEST(TcpEngineState, TimeWaitIgnoresRstReAcksFinAndExpires) {
+/// Raw-peer side of an active close: complete the driver's active open,
+/// ACK its FIN (FIN_WAIT_2), send our own FIN and take the final ACK, so
+/// the driver sits in TIME_WAIT. The driver's ISS, or nothing on failure.
+sim::Sub<std::optional<std::uint32_t>> raw_reach_time_wait(Process& self,
+                                                           An2Link& link) {
+  const auto syn = co_await raw_recv(link, us(100000.0));
+  if (!syn.has_value() || !syn->tcp.flags.syn) {
+    ADD_FAILURE() << "no SYN from the driver";
+    co_return std::nullopt;
+  }
+  const std::uint32_t iss = syn->tcp.seq;
+  co_await raw_send(link, kIpB, kIpA,
+                    make_seg(80, 4000, 9000, iss + 1, flags_of(true, true)),
+                    {});
+  // The handshake ACK may precede the FIN; skip to the FIN.
+  std::optional<RawSeg> fin;
+  do {
+    fin = co_await raw_recv(link, us(100000.0));
+  } while (fin.has_value() && !fin->tcp.flags.fin);
+  if (!fin.has_value()) {
+    ADD_FAILURE() << "the active closer never sent its FIN";
+    co_return std::nullopt;
+  }
+  co_await raw_send(link, kIpB, kIpA,
+                    make_seg(80, 4000, 9001, iss + 2, flags_of(false, true)),
+                    {});
+  co_await self.sleep_for(us(1000.0));
+  co_await raw_send(
+      link, kIpB, kIpA,
+      make_seg(80, 4000, 9001, iss + 2, flags_of(false, true, true)), {});
+  const auto last_ack = co_await raw_recv(link, us(100000.0));
+  if (!last_ack.has_value()) {
+    ADD_FAILURE() << "our FIN was never ACKed";
+    co_return std::nullopt;
+  }
+  EXPECT_EQ(last_ack->tcp.ack, 9002u);
+  co_return iss;
+}
+
+template <class Driver>
+void time_wait_ignores_rst_re_acks_fin_and_expires() {
   World w;
-  bool closed = false;
-  sim::Cycles closed_at = 0;
+  Observed o;
   sim::Cycles fin_resent_at = 0;
-  TcpEngine::Stats stats_a{};
-  TcpEngine* eng_p = nullptr;
-  TcpEngine::ConnId id = 0;
   bool saw_timewait_under_rst = false;
-
   const sim::Cycles kTimeWait = us(50000.0);
-
-  w.a.kernel().spawn("closer", [&](Process& self) -> Task {
-    An2Link link(self, w.dev_a, {});
-    TcpEngine::Config cfg = engine_cfg(kIpA, /*checksum=*/false);
-    cfg.time_wait = kTimeWait;
-    TcpEngine eng(link, cfg);
-    eng_p = &eng;
-    TcpEngine::Callbacks cbs;
-    cbs.on_established = [&](TcpEngine::ConnId cid) {
-      eng.close(cid);  // active close: we send the first FIN
-    };
-    cbs.on_closed = [&](TcpEngine::ConnId) {
-      closed = true;
-      closed_at = w.a.now();
-    };
-    id = eng.connect(kIpB, 80, 4000, cbs);
-    EXPECT_NE(id, 0u);
-    co_await eng.run(closed, self.node().now() + us(1e6));
-    stats_a = eng.stats();
-    eng_p = nullptr;
-  });
+  Driver::spawn(w, o,
+                Role{.close_on_established = true,
+                     .time_wait = kTimeWait,
+                     .run_for = us(1e6)});
   w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
     An2Link link(self, w.dev_b, {});
-    const auto syn = co_await raw_recv(link, us(100000.0));
-    if (!syn.has_value() || !syn->tcp.flags.syn) {
-      ADD_FAILURE() << "no SYN from the engine";
-      co_return;
-    }
-    const std::uint32_t iss = syn->tcp.seq;
-    co_await raw_send(link, kIpB, kIpA,
-                      make_seg(80, 4000, 9000, iss + 1, flags_of(true, true)),
-                      {});
-    const auto fin = co_await raw_recv(link, us(100000.0));
-    if (!fin.has_value()) {
-      ADD_FAILURE() << "the active closer never sent its FIN";
-      co_return;
-    }
-    EXPECT_TRUE(fin->tcp.flags.fin);
-
-    // Ack the FIN (FIN_WAIT_2), then send our own (TIME_WAIT).
-    co_await raw_send(link, kIpB, kIpA,
-                      make_seg(80, 4000, 9001, iss + 2, flags_of(false, true)),
-                      {});
-    co_await self.sleep_for(us(1000.0));
-    co_await raw_send(
-        link, kIpB, kIpA,
-        make_seg(80, 4000, 9001, iss + 2, flags_of(false, true, true)), {});
-    const auto last_ack = co_await raw_recv(link, us(100000.0));
-    if (!last_ack.has_value()) {
-      ADD_FAILURE() << "our FIN was never ACKed";
-      co_return;
-    }
-    EXPECT_EQ(last_ack->tcp.ack, 9002u);
+    const auto iss = co_await raw_reach_time_wait(self, link);
+    if (!iss.has_value()) co_return;
 
     // RFC 1337: a RST must not shorten TIME_WAIT.
     co_await raw_send(
@@ -364,17 +539,16 @@ TEST(TcpEngineState, TimeWaitIgnoresRstReAcksFinAndExpires) {
         make_seg(80, 4000, 9002, 0, flags_of(false, false, false, true)),
         {});
     co_await self.sleep_for(us(3000.0));
-    if (eng_p != nullptr) {
-      const auto st = eng_p->state(id);
-      saw_timewait_under_rst =
-          st.has_value() && *st == TcpState::TimeWait;
+    if (o.state) {
+      const auto st = o.state();
+      saw_timewait_under_rst = st.has_value() && *st == TcpState::TimeWait;
     }
 
     // Retransmitted FIN (our "lost final ACK"): re-ACKed, 2MSL restarts.
     fin_resent_at = self.node().now();
     co_await raw_send(
         link, kIpB, kIpA,
-        make_seg(80, 4000, 9001, iss + 2, flags_of(false, true, true)), {});
+        make_seg(80, 4000, 9001, *iss + 2, flags_of(false, true, true)), {});
     const auto re_ack = co_await raw_recv(link, us(100000.0));
     if (!re_ack.has_value()) {
       ADD_FAILURE() << "the dup FIN drew no re-ACK";
@@ -384,7 +558,7 @@ TEST(TcpEngineState, TimeWaitIgnoresRstReAcksFinAndExpires) {
 
     // Anything else in TIME_WAIT draws a challenge ACK and a counter.
     co_await raw_send(link, kIpB, kIpA,
-                      make_seg(80, 4000, 9002, iss + 2, flags_of(false, true)),
+                      make_seg(80, 4000, 9002, *iss + 2, flags_of(false, true)),
                       {});
     const auto challenge = co_await raw_recv(link, us(100000.0));
     EXPECT_TRUE(challenge.has_value());
@@ -392,14 +566,50 @@ TEST(TcpEngineState, TimeWaitIgnoresRstReAcksFinAndExpires) {
   w.sim.run(us(2e6));
 
   EXPECT_TRUE(saw_timewait_under_rst);
-  EXPECT_TRUE(closed);
-  EXPECT_GE(stats_a.rsts_ignored, 1u);
-  EXPECT_GE(stats_a.timewait_drops, 1u);
-  EXPECT_GE(stats_a.dup_segments, 1u);  // the retransmitted FIN
-  EXPECT_EQ(stats_a.rsts_received, 0u);
+  EXPECT_TRUE(o.closed);
+  EXPECT_GE(o.stats.rsts_ignored, 1u);
+  EXPECT_GE(o.stats.timewait_drops, 1u);
+  EXPECT_GE(o.stats.dup_segments, 1u);  // the retransmitted FIN
+  EXPECT_EQ(o.stats.rsts_received, 0u);
   // The dup FIN restarted 2MSL: destruction happens a full period later.
-  EXPECT_GE(closed_at, fin_resent_at + kTimeWait);
+  EXPECT_GE(o.closed_at, fin_resent_at + kTimeWait);
 }
+TCP_STATE_CASE(TimeWaitIgnoresRstReAcksFinAndExpires,
+               time_wait_ignores_rst_re_acks_fin_and_expires)
+
+template <class Driver>
+void time_wait_in_window_segment_draws_ack() {
+  // An in-window segment without FIN in TIME_WAIT is dropped, counted
+  // once, and answered with an ACK of the peer's FIN.
+  World w;
+  Observed o;
+  Driver::spawn(w, o,
+                Role{.close_on_established = true,
+                     .time_wait = us(50000.0),
+                     .run_for = us(1e6)});
+  w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
+    An2Link link(self, w.dev_b, {});
+    const auto iss = co_await raw_reach_time_wait(self, link);
+    if (!iss.has_value()) co_return;
+    co_await raw_send(link, kIpB, kIpA,
+                      make_seg(80, 4000, 9002, *iss + 2, flags_of(false, true)),
+                      {});
+    const auto ack = co_await raw_recv(link, us(10000.0));
+    if (!ack.has_value()) {
+      ADD_FAILURE() << "the in-window segment drew no ACK";
+      co_return;
+    }
+    EXPECT_TRUE(ack->tcp.flags.ack);
+    EXPECT_EQ(ack->tcp.ack, 9002u);
+  });
+  w.sim.run(us(2e6));
+
+  EXPECT_TRUE(o.closed);
+  EXPECT_EQ(o.stats.timewait_drops, 1u);
+  EXPECT_EQ(o.stats.dup_segments, 0u);
+}
+TCP_STATE_CASE(TimeWaitInWindowSegmentDrawsAck,
+               time_wait_in_window_segment_draws_ack)
 
 // ---------------------------------------------------- simultaneous close
 

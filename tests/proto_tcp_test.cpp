@@ -102,6 +102,51 @@ TEST(Tcp, HandshakeEstablishesBothSides) {
   EXPECT_TRUE(b_ok);
 }
 
+TEST(Tcp, IgnoresSynFromAnotherHost) {
+  // A listener takes only its configured peer's SYN: one spoofed SYN from
+  // another address and port must neither capture the listener nor stall
+  // the real client's handshake.
+  TcpWorld w;
+  bool a_ok = false, b_ok = false;
+  w.b->kernel().spawn("server", [&](Process& self) -> Task {
+    An2Link link(self, *w.dev_b, {});
+    TcpConnection conn(link, server_cfg());
+    b_ok = co_await conn.accept();
+  });
+  w.a->kernel().spawn("client", [&](Process& self) -> Task {
+    An2Link link(self, *w.dev_a, {});
+    TcpConnection conn(link, client_cfg());
+    // The spoof rides the client's own link; only its IP source lies.
+    const Ipv4Addr spoofed = Ipv4Addr::of(10, 0, 0, 99);
+    const auto len = static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen);
+    const std::uint32_t pkt = link.tx_alloc_ip(len);
+    std::uint8_t* p = w.a->mem(pkt, len);
+    TcpHeader syn;
+    syn.src_port = 7777;
+    syn.dst_port = 5000;
+    syn.seq = 4242;
+    syn.flags.syn = true;
+    syn.window = 8192;
+    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, syn);
+    syn.checksum = transport_checksum(spoofed, kIpB, kIpProtoTcp,
+                                      {p + kIpHeaderLen, kTcpHeaderLen});
+    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, syn);
+    IpHeader ip;
+    ip.protocol = kIpProtoTcp;
+    ip.src = spoofed;
+    ip.dst = kIpB;
+    ip.total_len = static_cast<std::uint16_t>(len);
+    encode_ip({p, kIpHeaderLen}, ip);
+    const bool sent = co_await link.send_ip(pkt, len);
+    EXPECT_TRUE(sent);
+    co_await self.sleep_for(us(500.0));
+    a_ok = co_await conn.connect();
+  });
+  w.sim.run(us(3e6));
+  EXPECT_TRUE(b_ok);
+  EXPECT_TRUE(a_ok);
+}
+
 TEST(Tcp, TransfersDataReliably) {
   TcpWorld w;
   constexpr std::uint32_t kLen = 100 * 1024;
