@@ -203,8 +203,10 @@ const Supervisor::HandlerState& AshSystem::supervisor_state(
   return at(ash_id).health;
 }
 
-void AshSystem::clear_attachments(Installed& ash) {
-  for (const Attachment& att : ash.attachments) unhook(*att.port, att.channel);
+void AshSystem::clear_attachments(int ash_id, Installed& ash) {
+  for (const Attachment& att : ash.attachments) {
+    unhook(*att.port, att.channel, ash_id);
+  }
   ash.attachments.clear();
 }
 
@@ -216,7 +218,7 @@ void AshSystem::revoke_installed(int ash_id, Installed& ash) {
   // hook there would destroy the closure currently executing, so defer
   // it one event: the queue runs the clear after the driver path unwinds.
   node_.queue().schedule_at(node_.now(), [this, ash_id] {
-    if (Installed* ash_p = find(ash_id)) clear_attachments(*ash_p);
+    if (Installed* ash_p = find(ash_id)) clear_attachments(ash_id, *ash_p);
   });
 }
 
@@ -243,7 +245,7 @@ std::uint64_t AshSystem::owner_faults(const sim::Process& owner) const {
   return it == faults_by_owner_.end() ? 0 : it->second;
 }
 
-bool AshSystem::detach(net::RxPort& port, int channel) {
+bool AshSystem::forget(const net::RxPort& port, int channel) {
   bool found = false;
   for (const auto& entry : installed_) {
     auto& atts = entry->attachments;
@@ -256,8 +258,13 @@ bool AshSystem::detach(net::RxPort& port, int channel) {
       }
     }
   }
-  if (found) unhook(port, channel);
   return found;
+}
+
+bool AshSystem::detach(net::RxPort& port, int channel) {
+  if (!forget(port, channel)) return false;
+  unhook(port, channel, port.binding(channel).handler);
+  return true;
 }
 
 const AshStats& AshSystem::stats(int ash_id) const { return at(ash_id).stats; }
@@ -479,14 +486,19 @@ AshSystem::DispatchResult AshSystem::dispatch(
     int ash_id, std::span<const MsgContext> msgs, SendFn send_fn,
     sim::Cycles tx_cost, const ChargePolicy& policy, bool* consumed) {
   net::NicExecUnit* const unit = policy.unit;
+  net::RxSession* const s = policy.session;
   const std::uint16_t cpu_id =
-      unit != nullptr ? unit->cpu_id() : policy.cpu.cpu_id();
+      unit != nullptr ? unit->cpu_id() : s->cpu.cpu_id();
   const sim::CostModel& cost = node_.cost();
 
   DispatchResult res;
   std::uint32_t executed = 0, committed = 0;
   std::uint64_t insns = 0;
   std::vector<AshEnv::SendReq> sends;
+  if (s != nullptr) {
+    if (s->first < 0) s->first = ash_id;
+    s->offered += static_cast<std::uint32_t>(msgs.size());
+  }
 
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     // Per-message admission: a fault on message k can quarantine or
@@ -531,16 +543,19 @@ AshSystem::DispatchResult AshSystem::dispatch(
     env_cfg.tx_cost = tx_cost;
     AshEnv env(env_cfg);
 
-    // Host entry: the first executed message installs the owner's context
-    // and arms the budget timer; the rest only re-arm it. A NIC unit is
+    // Host entry: the session's first executed message arms the budget
+    // timer, the rest only re-arm it; the owner's context is installed
+    // when the owner changes (unless pre-bound). A NIC unit is
     // hardware-sequenced: no host entry at all.
     sim::Cycles entry = 0;
-    if (unit == nullptr) {
-      entry = executed == 0
-                  ? cost.ash_timer_setup + (ash.opts.prebound_translation
-                                                ? 0
-                                                : cost.ash_context_install)
-                  : cost.ash_batch_rearm;
+    if (s != nullptr) {
+      const bool install = !ash.opts.prebound_translation &&
+                           (s->executed == 0 || s->owner != ash.owner);
+      entry = (s->executed == 0 ? cost.ash_timer_setup
+                                : cost.ash_batch_rearm) +
+              (install ? cost.ash_context_install : 0);
+      ++s->executed;
+      s->owner = ash.owner;
     }
     const RunResult run = run_one(ash_id, ash, msgs[i], env, cpu_id, entry);
     ++executed;
@@ -574,13 +589,15 @@ AshSystem::DispatchResult AshSystem::dispatch(
         static_cast<sim::Cycles>(msgs.size() - committed) *
             unit->cost().punt_handoff;
   } else {
-    if (executed > 0) res.charged += cost.ash_timer_clear;
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::BatchDispatch, cpu_id, node_.now(), ash_id,
-          static_cast<std::uint32_t>(msgs.size()), executed, res.charged,
-          insns));
+    // The session's last run carries its one timer clear, so replies
+    // still wait for the whole exit; a last run that charges nothing
+    // leaves the clear to close_session().
+    if (policy.last && executed > 0) {
+      res.charged += cost.ash_timer_clear;
+      s->cleared = true;
     }
+    s->charged += res.charged;
+    s->insns += insns;
   }
 
   // One charge for the whole run; collected sends release when it
@@ -596,46 +613,61 @@ AshSystem::DispatchResult AshSystem::dispatch(
   if (unit != nullptr) {
     unit->work(res.charged, std::move(release));
   } else {
-    policy.cpu.kernel_work(res.charged, std::move(release));
+    s->cpu.kernel_work(res.charged, std::move(release));
   }
   return res;
 }
 
+void AshSystem::run_in_session(net::RxSession& s, net::RxPort& port,
+                               const net::RxBinding& b,
+                               std::span<const net::RxFrame> frames,
+                               bool last, bool* consumed) {
+  msgs_.clear();
+  for (const net::RxFrame& f : frames) {
+    msgs_.push_back(port_msg(port, f, b.user_arg));
+  }
+  dispatch(b.handler, msgs_, port_send(&port), port.tx_kernel_work(),
+           ChargePolicy::host(s, last), consumed);
+}
+
+void AshSystem::close_session(net::RxSession& s) {
+  if (s.executed > 0 && !s.cleared) {
+    s.cpu.kernel_work(node_.cost().ash_timer_clear);
+    s.charged += node_.cost().ash_timer_clear;
+    s.cleared = true;
+  }
+  if (trace::enabled()) {
+    trace::global().emit(trace::make_event(
+        trace::EventType::BatchDispatch, s.cpu.cpu_id(), node_.now(),
+        s.first, s.offered, s.executed, s.charged, s.insns));
+  }
+}
+
 bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
                        sim::Cycles tx_cost) {
+  net::RxSession s{sim::KernelCpu(node_)};
   bool consumed = false;
   dispatch(ash_id, {&msg, 1}, std::move(send_fn), tx_cost,
-           ChargePolicy::host(sim::KernelCpu(node_)), &consumed);
+           ChargePolicy::host(s, /*last=*/true), &consumed);
+  close_session(s);
   return consumed;
 }
 
-void AshSystem::unhook(net::RxPort& port, int channel) {
-  port.set_kernel_batch_hook(channel, nullptr);
+void AshSystem::unhook(net::RxPort& port, int channel, int ash_id) {
+  // A later attach may have bound the channel to another handler; that
+  // binding (and its NIC residency) stays.
+  const net::RxBinding& b = port.binding(channel);
+  if (b.handlers != this || b.handler != ash_id) return;
+  port.bind(channel, {});
   if (port.nic() != nullptr) port.nic()->detach(&port, channel);
 }
 
 void AshSystem::attach(net::RxPort& port, int channel, int ash_id,
                        std::uint32_t user_arg) {
-  at(ash_id).attachments.push_back({&port, channel});
-  net::RxPort* p = &port;
-  port.set_kernel_batch_hook(
-      channel, [this, p, ash_id, user_arg](
-                   std::span<const net::RxFrame> frames,
-                   const sim::KernelCpu& cpu, bool* consumed) {
-        // A batch of one (every inline arrival) stays on the stack.
-        MsgContext one;
-        std::vector<MsgContext> many;
-        MsgContext* msgs = &one;
-        if (frames.size() > 1) {
-          many.resize(frames.size());
-          msgs = many.data();
-        }
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-          msgs[i] = port_msg(*p, frames[i], user_arg);
-        }
-        dispatch(ash_id, {msgs, frames.size()}, port_send(p),
-                 p->tx_kernel_work(), ChargePolicy::host(cpu), consumed);
-      });
+  Installed& ash = at(ash_id);
+  forget(port, channel);  // the handler bound there before loses it
+  ash.attachments.push_back({&port, channel});
+  port.bind(channel, {this, ash_id, user_arg});
 }
 
 std::uint32_t AshSystem::nic_footprint(int ash_id) const {

@@ -150,7 +150,7 @@ struct MsgContext {
 
 class AshEnv;
 
-class AshSystem {
+class AshSystem : public net::RxHandlers {
  public:
   explicit AshSystem(sim::Node& node);
 
@@ -181,10 +181,13 @@ class AshSystem {
                      std::string* error);
 
   /// Attach a downloaded ASH to a port's channel (an AN2 VC or an
-  /// Ethernet/DPF endpoint). The message the handler sees is the port's
-  /// logical view (striping resolved by the kernel); replies via TSend go
-  /// out on the port. Every arrival — inline (a batch of one on the main
-  /// CPU) or from an RX queue — reaches dispatch() through one batch hook.
+  /// Ethernet/DPF endpoint): bind the channel to (ash_id, user_arg). The
+  /// message the handler sees is the port's logical view (striping
+  /// resolved by the kernel); replies via TSend go out on the port. Every
+  /// arrival — inline (a session of one on the main CPU) or a fired RX
+  /// queue batch — runs through run() inside a dispatch session. A
+  /// channel has one binding: attaching replaces the handler bound there
+  /// before, which then no longer counts the channel as its attachment.
   void attach(net::RxPort& port, int channel, int ash_id,
               std::uint32_t user_arg = 0);
 
@@ -245,8 +248,8 @@ class AshSystem {
   const Supervisor::HandlerState& supervisor_state(int ash_id) const;
 
   /// Detach whatever handler is hooked to this demux point: the port's
-  /// hook is cleared and the attachment forgotten. Returns false when no
-  /// ASH of this system was attached there. Must not be called from
+  /// binding is cleared and the attachment forgotten. Returns false when
+  /// no ASH of this system was attached there. Must not be called from
   /// inside the handler's own invocation (revocation, which can fire
   /// there, defers its hook-clearing instead).
   bool detach(net::RxPort& port, int channel);
@@ -295,21 +298,46 @@ class AshSystem {
   /// Delivers one collected TSend at handler completion: (channel, bytes).
   using SendFn = std::function<bool(int, std::span<const std::uint8_t>)>;
 
+  /// Invoke handler `ash_id` on one message on the node's main CPU: a
+  /// dispatch session of one. Returns true if the handler consumed the
+  /// message (commit). For tests, tools and custom demux points.
+  bool invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
+              sim::Cycles tx_cost);
+
+  // net::RxHandlers — a bound channel's run inside a dispatch session.
+  void run_in_session(net::RxSession& s, net::RxPort& port,
+                      const net::RxBinding& b,
+                      std::span<const net::RxFrame> frames, bool last,
+                      bool* consumed) override;
+  /// Pays the timer clear if the last run did not carry it, and emits the
+  /// session's one BatchDispatch.
+  void close_session(net::RxSession& s) override;
+
+ private:
   /// Where a dispatch charges its cycles; the calling path chooses.
   struct ChargePolicy {
-    /// Host: the node's main CPU (inline) or an RX queue's CPU. The first
-    /// executed message pays the sandbox entry (budget-timer setup +
-    /// context install), messages 2..N only CostModel::ash_batch_rearm,
-    /// and the run pays one timer clear.
-    sim::KernelCpu cpu;
+    /// Host: one run of a dispatch session, charged on the session's CPU
+    /// (the node's main CPU inline, an RX queue's otherwise). The
+    /// session's first executed message pays the sandbox entry
+    /// (budget-timer setup + context install); each later one pays
+    /// CostModel::ash_batch_rearm, plus a context install when its owner
+    /// differs from the previous executed message's. A prebound handler
+    /// never pays the install. The session pays one timer clear, carried
+    /// by the `last` run's charge when that run charges anything.
+    net::RxSession* session = nullptr;
+    bool last = false;
     /// NIC: a handler execution unit. Each message pays clock-scaled
     /// execution plus the unit's dispatch, reply_issue per reply, and
     /// punt_handoff when it is denied or not consumed — none of the
     /// host's entry/exit charges.
     net::NicExecUnit* unit = nullptr;
 
-    static ChargePolicy host(const sim::KernelCpu& cpu) { return {cpu}; }
-    static ChargePolicy nic(net::NicExecUnit& unit) { return {{}, &unit}; }
+    static ChargePolicy host(net::RxSession& s, bool last) {
+      return {&s, last, nullptr};
+    }
+    static ChargePolicy nic(net::NicExecUnit& unit) {
+      return {nullptr, false, &unit};
+    }
   };
 
   /// What a dispatch did, beyond the per-message consumed flags.
@@ -320,28 +348,21 @@ class AshSystem {
   };
 
   /// Run handler `ash_id` over messages that share one demux point, in
-  /// kernel context — the one path every arrival takes (inline, RX-queue
-  /// batch, NIC unit). Containment is per message: admission
-  /// (revocation, quarantine, tenant cycle quota, livelock quota) runs for
-  /// every message, and a fault on message k aborts only that run — the
-  /// supervisor is notified and the remaining messages still execute (or
-  /// are denied by the policy it just triggered). `consumed[i]`, when
-  /// non-null, is set true for each committed message; unset messages
-  /// fall back to the normal path. The run is charged once, under
-  /// `policy`, and the TSends of every committed message are released
-  /// together when that charge completes — replies never precede the work
-  /// that produced them.
+  /// kernel context — the one path every arrival takes (a run of a host
+  /// dispatch session, or one message on a NIC unit). Containment is per
+  /// message: admission (revocation, quarantine, tenant cycle quota,
+  /// livelock quota) runs for every message, and a fault on message k
+  /// aborts only that run — the supervisor is notified and the remaining
+  /// messages still execute (or are denied by the policy it just
+  /// triggered). `consumed[i]` is set true for each committed message;
+  /// unset messages fall back to the normal path. The run is charged
+  /// once, under `policy`, and the TSends of every committed message are
+  /// released together when that charge completes — replies never precede
+  /// the work that produced them.
   DispatchResult dispatch(int ash_id, std::span<const MsgContext> msgs,
                           SendFn send_fn, sim::Cycles tx_cost,
                           const ChargePolicy& policy, bool* consumed);
 
-  /// Invoke handler `ash_id` on one message on the node's main CPU: a
-  /// host dispatch of one. Returns true if the handler consumed the
-  /// message (commit). For tests, tools and custom demux points.
-  bool invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
-              sim::Cycles tx_cost);
-
- private:
   /// One port hook this handler is attached through (for detach and
   /// revocation-time hook clearing).
   struct Attachment {
@@ -384,9 +405,10 @@ class AshSystem {
                    trace::DenyReason* why = nullptr);
 
   /// One handler run. `entry` is the host entry charge for THIS message
-  /// (the full sandbox entry for the first, the re-arm for the rest, 0 on
-  /// a NIC unit), so `total` is the share this message adds to the
-  /// charge before the policy's per-run terms. Updates stats, the fault
+  /// (the sandbox entry for a session's first, the re-arm plus any
+  /// context install for the rest, 0 on a NIC unit), so `total` is the
+  /// share this message adds to the charge before the policy's per-run
+  /// terms. Updates stats, the fault
   /// record, and the supervisor; emits AshDispatch/AshOutcome.
   struct RunResult {
     vcode::Outcome outcome = vcode::Outcome::Halted;
@@ -396,10 +418,14 @@ class AshSystem {
   };
   RunResult run_one(int ash_id, Installed& ash, const MsgContext& msg,
                     AshEnv& env, std::uint16_t cpu_id, sim::Cycles entry);
-  /// Clear one port hook (and its NIC residency) now.
-  void unhook(net::RxPort& port, int channel);
+  /// Forget (port, channel) in every handler's attachments; true if some
+  /// handler had it.
+  bool forget(const net::RxPort& port, int channel);
+  /// Clear the port's binding (and its NIC residency) now, if it still
+  /// names handler `ash_id`.
+  void unhook(net::RxPort& port, int channel, int ash_id);
   /// Clear all port hooks now (caller must not be inside one of them).
-  void clear_attachments(Installed& ash);
+  void clear_attachments(int ash_id, Installed& ash);
   /// Mark revoked and schedule the hook-clearing after the current event
   /// (safe from inside the handler's own invocation).
   void revoke_installed(int ash_id, Installed& ash);
@@ -414,6 +440,7 @@ class AshSystem {
   TenantScheduler* tenants_ = nullptr;
   std::unordered_map<std::uint32_t, std::uint64_t> faults_by_owner_;
   std::uint64_t bad_id_fallbacks_ = 0;
+  std::vector<MsgContext> msgs_;  // a run's messages, reused
 };
 
 }  // namespace ash::core

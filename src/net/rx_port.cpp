@@ -1,6 +1,6 @@
 #include "net/rx_port.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <stdexcept>
 
 #include "net/nic_offload.hpp"
@@ -80,13 +80,17 @@ void RxPort::set_interrupt_mode(int channel, bool on) {
 void RxPort::set_kernel_hook(int channel, KernelHook hook) {
   Channel& c = chan_at(channel);
   c.hook = std::move(hook);
-  c.batch_hook = nullptr;
+  c.binding = {};
 }
 
-void RxPort::set_kernel_batch_hook(int channel, KernelBatchHook hook) {
+void RxPort::bind(int channel, const RxBinding& b) {
   Channel& c = chan_at(channel);
-  c.batch_hook = std::move(hook);
+  c.binding = b;
   c.hook = nullptr;
+}
+
+const RxBinding& RxPort::binding(int channel) const {
+  return chan_at(channel).binding;
 }
 
 bool RxPort::has_kernel_hook(int channel) const {
@@ -114,64 +118,74 @@ void RxPort::steer(RxFrame frame) {
     return;
   }
   // Inline: interrupt entry plus the frame's driver pass on the main CPU,
-  // then the hook runs in kernel context on a batch of one.
+  // then the hook runs in kernel context in a session of one.
   const bool attached = chan(frame.channel).hooked();
   node_.kernel_work(node_.cost().interrupt_entry + frame.driver_cycles,
                     [this, frame, attached] {
-                      complete({&frame, 1}, sim::KernelCpu(node_), attached,
-                               /*queued=*/false);
+                      complete({&frame, 1}, sim::KernelCpu(node_),
+                               /*queued=*/false, attached);
                     });
 }
 
 void RxPort::rx_batch(std::span<const RxFrame> frames,
                       const sim::KernelCpu& cpu) {
-  if (frames.empty()) return;
-  // The queue groups by (sink, channel). Hooks are re-checked here, at
-  // delivery time: the supervisor may have revoked one while the batch
-  // sat in the queue.
-  complete(frames, cpu, chan(frames.front().channel).hooked(),
-           /*queued=*/true);
+  complete(frames, cpu, /*queued=*/true, /*attached=*/false);
 }
 
 void RxPort::complete(std::span<const RxFrame> frames,
-                      const sim::KernelCpu& cpu, bool attached, bool queued) {
-  const int ch = frames.front().channel;
-  Channel& c = chan(ch);
-  const bool batch_form = static_cast<bool>(c.batch_hook);
-  bool posted = false;
-  const auto settle = [&](const RxFrame& f, bool consumed) {
-    if (consumed) {
-      recycle(f);  // the handler copied out what it wanted
-    } else if (attached ? fall_back(f, cpu) : post(f, cpu)) {
-      posted = true;
-    }
-  };
+                      const sim::KernelCpu& cpu, bool queued, bool attached) {
+  RxSession session{cpu};
+  RxHandlers* open = nullptr;  // whose session is open, if anyone's
+  for (std::size_t i = 0; i < frames.size();) {
+    const int ch = frames[i].channel;
+    std::size_t j = i + 1;
+    while (j < frames.size() && frames[j].channel == ch) ++j;
+    const std::span<const RxFrame> run = frames.subspan(i, j - i);
+    i = j;
 
-  if (batch_form) {
-    // A batch of one (every inline arrival) keeps its flag on the stack;
-    // only a coalesced batch allocates.
-    bool one = false;
-    std::unique_ptr<bool[]> many;
-    bool* consumed = &one;
-    if (frames.size() > 1) {
-      many.reset(new bool[frames.size()]());
-      consumed = many.get();
+    Channel& c = chan(ch);
+    // A queued run's hook is checked now, at delivery: the supervisor may
+    // have revoked it while the batch sat in the queue.
+    const bool hook_path = queued ? c.hooked() : attached;
+    bool posted = false;
+    const auto settle = [&](const RxFrame& f, bool consumed) {
+      if (consumed) {
+        recycle(f);  // the handler copied out what it wanted
+      } else if (hook_path ? fall_back(f, cpu) : post(f, cpu)) {
+        posted = true;
+      }
+    };
+
+    const RxBinding b = c.binding;
+    if (b.handlers != nullptr) {
+      if (open != b.handlers) {
+        if (open != nullptr) open->close_session(session);
+        session = RxSession{cpu};
+        open = b.handlers;
+      }
+      if (run.size() > consumed_cap_) {
+        consumed_cap_ = run.size();
+        consumed_ = std::make_unique<bool[]>(consumed_cap_);
+      }
+      std::fill_n(consumed_.get(), run.size(), false);
+      open->run_in_session(session, *this, b, run, i == frames.size(),
+                           consumed_.get());
+      for (std::size_t k = 0; k < run.size(); ++k) {
+        settle(run[k], consumed_[k]);
+      }
+    } else {
+      // Per-frame hook (or none): each frame settles before the next
+      // runs, so a copy-out's cache and CPU effects precede the next hook.
+      for (const RxFrame& f : run) {
+        settle(f, c.hook && c.hook(RxEvent{ch, RxDesc{f.addr, f.len},
+                                           f.owner}));
+      }
     }
-    c.batch_hook(frames, cpu, consumed);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      settle(frames[i], consumed[i]);
-    }
-  } else {
-    // Per-frame form (or no hook): each frame settles before the next
-    // runs, so a copy-out's cache and CPU effects precede the next hook.
-    for (const RxFrame& f : frames) {
-      settle(f, c.hook && c.hook(RxEvent{ch, RxDesc{f.addr, f.len},
-                                         f.owner}));
-    }
+
+    // One wake per run (vs one per frame when each arrives alone).
+    wake_owner(ch, cpu, posted, queued && b.handlers == nullptr);
   }
-
-  // One wake per run (vs one per frame when each arrives alone).
-  wake_owner(ch, cpu, posted, queued && !batch_form);
+  if (open != nullptr) open->close_session(session);
 }
 
 bool RxPort::fall_back(const RxFrame& frame, const sim::KernelCpu& cpu) {

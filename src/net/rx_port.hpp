@@ -8,12 +8,14 @@
 //
 //  * the per-channel table (an AN2 virtual circuit or an Ethernet/DPF
 //    endpoint): owner, free and notification rings, arrival channel,
-//    interrupt mode, and the kernel hook in its per-frame or batch form;
+//    interrupt mode, and the channel's hook — a handler binding or a
+//    per-frame kernel hook;
 //  * the steer tail of delivery: a smart-NIC offer first, then the
 //    multi-queue receive set, else the inline interrupt-time path;
-//  * hook invocation and the fallback of frames no hook consumed, for
-//    inline arrivals (a batch of one on the node's main CPU), fired RX
-//    queue batches, and NIC punts alike.
+//  * the dispatch session over bound channels, hook invocation, and the
+//    fallback of frames no hook consumed, for inline arrivals (a session
+//    of one on the node's main CPU), fired RX queue batches, and NIC
+//    punts alike.
 //
 // A device keeps only what really differs: how a frame lands (AN2 DMAs
 // into the VC's pinned buffer; Ethernet stripes into a scarce kernel
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -48,6 +51,52 @@ struct RxDesc {
   std::uint32_t len = 0;
 };
 
+class RxHandlers;
+class RxPort;
+
+/// One ASH dispatch session (DESIGN §7b): the bound runs of one fired RX
+/// queue batch, or one inline arrival, on one CPU. The port opens it,
+/// hands it to RxHandlers::run_in_session for each bound same-channel
+/// run in arrival order, and ends it with RxHandlers::close_session. The
+/// fields are the handler layer's running account of the session; the
+/// port only carries them.
+struct RxSession {
+  sim::KernelCpu cpu;
+  int first = -1;                       // first offered handler
+  std::uint32_t offered = 0;            // messages offered to handlers
+  std::uint32_t executed = 0;           // messages that ran a handler
+  const sim::Process* owner = nullptr;  // owner of the last one that ran
+  sim::Cycles charged = 0;              // the whole charge so far
+  std::uint64_t insns = 0;
+  bool cleared = false;                 // the exit charge is paid
+};
+
+/// A channel's handler binding: the handler id and argument attach gave.
+struct RxBinding {
+  RxHandlers* handlers = nullptr;  // null: not bound
+  int handler = -1;
+  std::uint32_t user_arg = 0;
+};
+
+/// The handler layer behind a port's bound channels. core::AshSystem
+/// implements it (net cannot depend on core, as with RxQuota).
+class RxHandlers {
+ public:
+  virtual ~RxHandlers() = default;
+  /// Run `b`'s handler over `frames` (one channel) inside `s`, in kernel
+  /// context on s.cpu: set consumed[i] for each committed frame, and
+  /// charge the run on s.cpu with its replies released when that charge
+  /// completes. `last`: no run follows in this session, so a run that
+  /// charges anything also carries the session's exit charge.
+  virtual void run_in_session(RxSession& s, RxPort& port,
+                              const RxBinding& b,
+                              std::span<const RxFrame> frames, bool last,
+                              bool* consumed) = 0;
+  /// End `s` once its last run has settled: pay the exit charge if no
+  /// run carried it.
+  virtual void close_session(RxSession& s) = 0;
+};
+
 class RxPort : public RxSink {
  public:
   // Receive-path callbacks and hooks hold the port's address.
@@ -66,13 +115,6 @@ class RxPort : public RxSink {
   /// Runs in kernel context once the frame's driver pass is done. Return
   /// true if the message was consumed; false falls back to the owner.
   using KernelHook = std::function<bool(const RxEvent&)>;
-  /// Batch form (the ASH attachment point): the frames share one channel
-  /// and carry the same layout as RxEvent::desc in `addr`/`len`. The hook
-  /// sets consumed[i] per message (unset entries fall back) and charges
-  /// its own execution on `cpu` — the node's main CPU inline, the queue's
-  /// CPU otherwise.
-  using KernelBatchHook = std::function<void(
-      std::span<const RxFrame>, const sim::KernelCpu& cpu, bool* consumed)>;
 
   sim::Node& node() noexcept { return node_; }
 
@@ -125,13 +167,17 @@ class RxPort : public RxSink {
   /// Off (default): the owner polls.
   void set_interrupt_mode(int channel, bool on);
 
-  /// Install the channel's kernel hook in per-frame form. A channel has
-  /// one hook: installing either form replaces the other, and a null hook
-  /// of either form clears it (detach/revocation) — arrivals then take the
-  /// device's normal delivery path.
+  /// Install the channel's per-frame kernel hook. A channel has one hook,
+  /// a per-frame hook or a handler binding: installing either replaces
+  /// the other, and a null hook or an empty binding clears it
+  /// (detach/revocation) — arrivals then take the device's normal
+  /// delivery path.
   void set_kernel_hook(int channel, KernelHook hook);
-  /// Install the channel's kernel hook in batch form (see above).
-  void set_kernel_batch_hook(int channel, KernelBatchHook hook);
+  /// Bind the channel to a handler (the ASH attachment point). Its frames
+  /// then run through `b.handlers` inside a dispatch session; the frames
+  /// carry the same layout as RxEvent::desc in `addr`/`len`.
+  void bind(int channel, const RxBinding& b);
+  const RxBinding& binding(int channel) const;
   bool has_kernel_hook(int channel) const;
 
   /// Frames dropped on `channel`, and on the whole port (the latter also
@@ -166,11 +212,11 @@ class RxPort : public RxSink {
     std::deque<RxDesc> notify_ring;
     sim::WaitChannel arrival;
     KernelHook hook;
-    KernelBatchHook batch_hook;
+    RxBinding binding;
     bool interrupt_mode = false;
     std::uint64_t drops = 0;
 
-    bool hooked() const noexcept { return hook || batch_hook; }
+    bool hooked() const noexcept { return hook || binding.handlers; }
   };
 
   RxPort(sim::Node& node, trace::NicKind kind) : node_(node), kind_(kind) {}
@@ -191,7 +237,7 @@ class RxPort : public RxSink {
   /// The steer tail of delivery for a landed frame whose channel is
   /// known: NIC offer, then the RX queue set, else the inline path (the
   /// interrupt entry plus the frame's driver pass on the main CPU, then
-  /// the channel's hook on a batch of one).
+  /// the channel's hook in a session of one).
   void steer(RxFrame frame);
 
   /// The frame's receive buffer is free again (consumed or dropped).
@@ -200,9 +246,9 @@ class RxPort : public RxSink {
   /// charging any copy on `cpu`. false: it was dropped (and recycled).
   virtual bool post(const RxFrame& frame, const sim::KernelCpu& cpu) = 0;
   /// Wake the owner once a run has settled. `posted`: some frame reached
-  /// the owner. `ring_batch`: the run was a fired queue batch that took
-  /// the per-frame path (a per-frame hook, or none). Default: the normal
-  /// wake() if a frame was posted.
+  /// the owner. `ring_batch`: the run came from a fired queue batch and
+  /// took the per-frame path (a per-frame hook, or none). Default: the
+  /// normal wake() if a frame was posted.
   virtual void wake_owner(int channel, const sim::KernelCpu& cpu,
                           bool posted, bool ring_batch) {
     (void)ring_batch;
@@ -217,18 +263,24 @@ class RxPort : public RxSink {
  private:
   const Channel& chan_at(int channel) const;
   Channel& chan_at(int channel);
-  /// Offer a same-channel run to its hook on `cpu`, then hand what it did
-  /// not consume to the owner and wake it once. `attached`: the frames
-  /// took the hook path (decided at arrival inline, at the batch fire for
-  /// queues), so unconsumed ones are traced fallbacks. `queued`: the run
-  /// is a fired RX queue batch rather than an inline arrival.
+  /// Complete frames whose driver pass is done, on `cpu`: walk their
+  /// consecutive same-channel runs in order. A bound run goes to its
+  /// handlers inside the one dispatch session of this call; another run
+  /// goes frame by frame to the per-frame hook, if any. Each run settles
+  /// — every frame recycled or handed to the owner, the owner woken once
+  /// — before the next run's handlers execute. `queued`: a fired RX queue
+  /// batch, whose runs count as attached (unconsumed frames are traced
+  /// fallbacks) if their channel is hooked now; an inline arrival passes
+  /// `attached` as decided when it landed.
   void complete(std::span<const RxFrame> frames, const sim::KernelCpu& cpu,
-                bool attached, bool queued);
+                bool queued, bool attached);
   /// One unconsumed frame of an attached channel: trace, then post.
   bool fall_back(const RxFrame& frame, const sim::KernelCpu& cpu);
 
   trace::NicKind kind_;
   std::vector<Channel> channels_;
+  std::unique_ptr<bool[]> consumed_;  // a bound run's flags, reused
+  std::size_t consumed_cap_ = 0;
   RxQueueSet* rxq_ = nullptr;
   NicProcessor* nic_ = nullptr;
   std::uint64_t drops_ = 0;

@@ -188,16 +188,12 @@ void RxQueue::deliver_batch(std::vector<RxFrame> batch) {
     sojourn_.observe(now - f.enqueued_at);
     if (quota_ != nullptr) quota_->on_dispatched(f.owner);
   }
-  // Group consecutive same-(sink, channel) runs so each sink sees a
-  // maximal batch for one demux point (what AshSystem::dispatch
-  // amortizes).
+  // Each same-sink stretch goes to its sink once: the sink runs the
+  // stretch's channels inside one dispatch session.
   std::size_t i = 0;
   while (i < batch.size()) {
     std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].sink == batch[i].sink &&
-           batch[j].channel == batch[i].channel) {
-      ++j;
-    }
+    while (j < batch.size() && batch[j].sink == batch[i].sink) ++j;
     if (batch[i].sink != nullptr) {
       batch[i].sink->rx_batch(
           std::span<const RxFrame>(batch.data() + i, j - i), cpu_);

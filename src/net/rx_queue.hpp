@@ -66,16 +66,17 @@ struct RxFrame {
   sim::Cycles enqueued_at = 0;
 };
 
-/// Device-side consumer of a fired batch. Both NIC models implement this;
-/// the queue groups consecutive same-(sink, channel) frames before
-/// calling rx_batch so handlers see maximal same-channel runs.
+/// Device-side consumer of a fired batch (net::RxPort, for both NIC
+/// models). The queue hands each stretch of consecutive same-sink frames
+/// to rx_batch once, in arrival order; the sink walks the stretch's
+/// channels itself, so one fired batch is one ASH dispatch session.
 class RxSink {
  public:
   virtual ~RxSink() = default;
-  /// Deliver a run of frames (same sink and channel) in kernel context on
-  /// `cpu`. Called from the batch's kernel_work completion; any further
-  /// work (handler execution, copies, wakeups) is charged on `cpu` by the
-  /// sink itself.
+  /// Deliver a stretch of frames (one sink, any channels, arrival order)
+  /// in kernel context on `cpu`. Called from the batch's kernel_work
+  /// completion; any further work (handler execution, copies, wakeups) is
+  /// charged on `cpu` by the sink itself.
   virtual void rx_batch(std::span<const RxFrame> frames,
                         const sim::KernelCpu& cpu) = 0;
   /// Reclaim a frame the queue dropped before dispatch (overflow).

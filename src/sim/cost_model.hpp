@@ -103,10 +103,12 @@ struct CostModel {
   /// the coalescer stays on the CPU, so a batch costs a ring check + batch
   /// pop instead of a full interrupt entry.
   Cycles rxq_poll_pass = us(0.5);
-  /// Re-arming the runtime budget timer for the next message of an
-  /// already-entered ASH batch (the sandbox context and timer machinery
-  /// are hot; only the deadline is rewritten). Replaces the per-message
-  /// ash_timer_setup + ash_context_install for messages 2..N of a batch.
+  /// Re-arming the runtime budget timer for the next message of an ASH
+  /// dispatch session already entered — one fired RX queue batch, across
+  /// all its channels (the timer machinery is hot; only the deadline is
+  /// rewritten). Replaces ash_timer_setup for every message after the
+  /// session's first; ash_context_install is still paid when the owner
+  /// changes, unless the handler is pre-bound.
   Cycles ash_batch_rearm = us(0.25);
 
   // --- demultiplexing ---

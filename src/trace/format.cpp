@@ -380,9 +380,9 @@ std::string format_queues(const Tracer& t) {
       append_count_histogram(out, "depth", q.depth);
     }
   }
-  // Batched dispatch per handler rides alongside the queue tables: how
-  // well the coalescer fed AshSystem::dispatch (an inline arrival is a
-  // batch of one).
+  // Dispatch sessions, keyed by each session's first offered handler,
+  // ride alongside the queue tables: how well the coalescer fed the
+  // handlers (an inline arrival is a session of one).
   out += "== batched handlers ==\n";
   for (std::int32_t id = 0; id <= t.max_ash_slot(); ++id) {
     const AshMetrics& m = t.ash_metrics(id);

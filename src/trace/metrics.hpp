@@ -81,7 +81,7 @@ struct AshMetrics {
   std::uint64_t denials = 0;      // AshDenied events
   std::array<std::uint64_t, kMaxDenyReasons> denial_reasons{};  // by DenyReason
   std::array<std::uint64_t, kMaxOutcomes> by_outcome{};
-  Histogram latency;              // dispatch+exec+timer cycles per run
+  Histogram latency;              // entry+exec cycles per run
   Histogram exec_cycles;          // handler execution cycles per run
   std::uint64_t insns = 0;        // dynamic instructions, all runs
   std::uint64_t cycles = 0;       // latency sum (= latency.sum())
@@ -92,8 +92,8 @@ struct AshMetrics {
   std::uint64_t usercopies = 0;   // TUserCopy events
   std::uint64_t supervisor_quarantines = 0;
   std::uint64_t supervisor_revokes = 0;
-  std::uint64_t batches = 0;      // BatchDispatch events
-  Histogram batch_msgs;           // executed msgs per batch (arg1)
+  std::uint64_t batches = 0;      // BatchDispatch events (sessions)
+  Histogram batch_msgs;           // executed msgs per session (arg1)
 };
 
 /// Per-demux-channel accounting (AN2 VC or Ethernet endpoint id).

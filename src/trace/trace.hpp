@@ -60,7 +60,7 @@ enum class EventType : std::uint8_t {
   VcodeExec,        // id=Context::id at emit, arg0=vcode outcome,
                     //   engine-tagged, cycles/insns of the run
   AshOutcome,       // id=ash, arg0=vcode outcome, arg1=consumed,
-                    //   cycles=dispatch+exec+timer total, insns of run
+                    //   cycles=the message's entry+exec, insns of run
   DilpRun,          // id=Context::id (-1 standalone), arg0=len,
                     //   arg1=ilp id, cycles of the fused loop
   TSendInitiated,   // id=Context::id, arg0=len, arg1=channel, cycles=tx
@@ -71,8 +71,9 @@ enum class EventType : std::uint8_t {
   RxEnqueue,        // id=rx queue, arg0=channel, arg1=depth after enqueue
   CoalesceFire,     // id=rx queue, arg0=frames in batch, arg1=FireReason,
                     //   cycles=entry+driver charge for the batch
-  BatchDispatch,    // id=ash, arg0=msgs offered, arg1=msgs executed,
-                    //   cycles=batch total charge, insns=batch total
+  BatchDispatch,    // one per dispatch session: id=first offered ash,
+                    //   arg0=msgs offered, arg1=msgs executed, cycles=
+                    //   whole charge incl. the timer clear, insns=total
   // Multi-tenant isolation (appended; older numeric ids stay stable):
   RxDrop,           // id=rx queue, arg0=owner pid (0 unowned),
                     //   arg1=net::RxDropReason, insns=channel

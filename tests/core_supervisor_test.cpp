@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "core/supervisor.hpp"
 #include "dilp/pipe.hpp"
 #include "dpf/dpf.hpp"
 #include "net/ethernet.hpp"
+#include "net/nic_offload.hpp"
+#include "net/rx_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "vcode/builder.hpp"
@@ -485,6 +488,96 @@ TEST(Containment, TSendsReleasedOnlyOnHalt) {
   EXPECT_EQ(sends_after(Ending::Halt), 1u);
   EXPECT_EQ(sends_after(Ending::VoluntaryAbort), 0u);
   EXPECT_EQ(sends_after(Ending::InvoluntaryAbort), 0u);
+}
+
+TEST(Containment, RevokingAReplacedHandlerKeepsTheReplacementAttached) {
+  // A channel has one binding: attaching B over A moves the channel to B,
+  // so revoking A afterwards must leave B bound — and, offloaded, leave
+  // B's NIC residency in place.
+  for (const bool nic_leg : {false, true}) {
+    SCOPED_TRACE(nic_leg ? "offload" : "attach");
+    SupWorld w;
+    std::unique_ptr<net::RxQueueSet> rxq;
+    std::unique_ptr<net::NicProcessor> nic;
+    if (nic_leg) {
+      rxq = std::make_unique<net::RxQueueSet>(*w.b, net::RxQueueSet::Config{});
+      w.dev_b->set_rx_queues(rxq.get());
+      nic = std::make_unique<net::NicProcessor>(*w.b, *rxq);
+      w.dev_b->set_nic(nic.get());
+    }
+    w.b->kernel().spawn("owner", [&](Process& self) -> Task {
+      const int vc = w.dev_b->bind_vc(self);
+      for (int i = 0; i < 8; ++i) {
+        w.dev_b->supply_buffer(
+            vc, self.segment().base + 64u * static_cast<std::uint32_t>(i),
+            64);
+      }
+      std::string error;
+      const int a = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
+      const int b = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
+      EXPECT_GE(a, 0) << error;
+      EXPECT_GE(b, 0) << error;
+      if (nic_leg) {
+        EXPECT_TRUE(w.ash_b->offload(*w.dev_b, vc, a));
+        EXPECT_TRUE(w.ash_b->offload(*w.dev_b, vc, b));
+      } else {
+        w.ash_b->attach(*w.dev_b, vc, a);
+        w.ash_b->attach(*w.dev_b, vc, b);
+      }
+      w.ash_b->revoke(a);
+      co_await self.sleep_for(us(1000.0));  // the deferred unhook runs
+
+      EXPECT_EQ(w.ash_b->health(a), Health::Revoked);
+      EXPECT_EQ(w.ash_b->health(b), Health::Healthy);
+      EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
+      if (nic_leg) {
+        EXPECT_TRUE(nic->resident(w.dev_b, vc));
+      }
+
+      co_await self.sleep_for(us(5000.0));
+      // The message sent after the revocation ran B, not the ring.
+      EXPECT_EQ(w.ash_b->stats(b).commits, 1u);
+      EXPECT_EQ(w.ash_b->stats(a).invocations, 0u);
+      EXPECT_FALSE(w.dev_b->poll(vc).has_value());
+      if (nic_leg) {
+        EXPECT_EQ(nic->totals().nic_executed, 1u);
+      }
+
+      // B's own detach still unhooks the channel.
+      EXPECT_TRUE(w.ash_b->detach(*w.dev_b, vc));
+      EXPECT_FALSE(w.dev_b->has_kernel_hook(vc));
+      if (nic_leg) {
+        EXPECT_FALSE(nic->resident(w.dev_b, vc));
+      }
+    });
+    w.sim.queue().schedule_at(us(3000.0),
+                              [&] { w.dev_a->send(0, kGoodMsg); });
+    w.sim.run();
+  }
+
+  // A per-frame hook installed over A's binding replaces it just the
+  // same: revoking A must leave that hook in place.
+  SupWorld w;
+  int hook_calls = 0;
+  w.b->kernel().spawn("owner", [&](Process& self) -> Task {
+    const int vc = w.dev_b->bind_vc(self);
+    w.dev_b->supply_buffer(vc, self.segment().base, 64);
+    std::string error;
+    const int a = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
+    EXPECT_GE(a, 0) << error;
+    w.ash_b->attach(*w.dev_b, vc, a);
+    w.dev_b->set_kernel_hook(vc, [&](const net::RxPort::RxEvent&) {
+      ++hook_calls;
+      return true;
+    });
+    w.ash_b->revoke(a);
+    co_await self.sleep_for(us(6000.0));
+    EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
+    EXPECT_EQ(hook_calls, 1);
+    EXPECT_EQ(w.ash_b->stats(a).invocations, 0u);
+  });
+  w.sim.queue().schedule_at(us(3000.0), [&] { w.dev_a->send(0, kGoodMsg); });
+  w.sim.run();
 }
 
 TEST(Containment, DilpPersistentRegsKeepSeedAcrossFaultedTransfer) {

@@ -174,6 +174,10 @@ TEST(RxQueue, FullAndTimerFiresWithAdaptivePollMode) {
   EXPECT_EQ(fires[2].time, us(200.0) + co.max_delay);
 }
 
+// The queue groups a fired batch by sink only: each stretch of
+// consecutive same-sink frames reaches its sink in one rx_batch, whatever
+// its channels (the sink walks the channel runs itself, inside one
+// dispatch session — pinned in core_ash_batch_test.cpp).
 TEST(RxQueue, DeliverBatchGroupsConsecutiveSameChannelRuns) {
   Simulator sim;
   Node& n = sim.add_node("n");
@@ -189,13 +193,26 @@ TEST(RxQueue, DeliverBatchGroupsConsecutiveSameChannelRuns) {
   });
   sim.run();
   EXPECT_EQ(q.batches(), 1u);
-  ASSERT_EQ(sink.runs.size(), 3u);
+  ASSERT_EQ(sink.runs.size(), 1u);
   EXPECT_EQ(sink.runs[0].channel, 1);
-  EXPECT_EQ(sink.runs[0].frames, 2u);
-  EXPECT_EQ(sink.runs[1].channel, 2);
-  EXPECT_EQ(sink.runs[1].frames, 3u);
-  EXPECT_EQ(sink.runs[2].channel, 1);
+  EXPECT_EQ(sink.runs[0].frames, 6u);
+
+  // Two interleaved sinks: the batch splits at every change of sink.
+  FakeSink other;
+  RxQueue q2(KernelCpu(n), 1, co, 256);
+  FakeSink* const sinks[] = {&sink, &other, &other, &sink, &other};
+  n.queue().schedule_at(us(200.0), [&] {
+    for (FakeSink* s : sinks) q2.enqueue(frame_for(*s, 3, 10));
+  });
+  sim.run();
+  EXPECT_EQ(q2.batches(), 1u);
+  ASSERT_EQ(sink.runs.size(), 3u);
+  EXPECT_EQ(sink.runs[1].frames, 1u);
   EXPECT_EQ(sink.runs[2].frames, 1u);
+  ASSERT_EQ(other.runs.size(), 2u);
+  EXPECT_EQ(other.runs[0].frames, 2u);
+  EXPECT_EQ(other.runs[1].frames, 1u);
+  EXPECT_EQ(sink.frames + other.frames, 11u);
 }
 
 TEST(RxQueue, OverflowDropsBackToTheDeviceAndStaysBalanced) {
@@ -512,23 +529,30 @@ TEST(RxQueue, EthernetBatchHookConsumesAndDeclinedFramesFallBack) {
   dev_b.set_rx_queues(&rxq);
 
   int seen_by_hook = 0, consumed_total = 0, got_fallback = 0;
+  // A handler layer that consumes every other frame of a run and charges
+  // nothing; declined frames must take the default copy-out and surface
+  // on the notify ring.
+  struct EveryOther final : RxHandlers {
+    int& seen;
+    int& taken;
+    EveryOther(int& s, int& t) : seen(s), taken(t) {}
+    void run_in_session(RxSession&, RxPort&, const RxBinding&,
+                        std::span<const RxFrame> frames, bool,
+                        bool* consumed) override {
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        ++seen;
+        consumed[i] = (i % 2) == 0;
+        if (consumed[i]) ++taken;
+      }
+    }
+    void close_session(RxSession&) override {}
+  } handlers(seen_by_hook, consumed_total);
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int ep = dev_b.attach(self, eth_type_filter(0x0800));
     for (int i = 0; i < 16; ++i) {
       dev_b.supply_buffer(ep, self.segment().base + 2048u * i, 2048);
     }
-    // Kernel batch hook that consumes every other frame; declined frames
-    // must take the default copy-out and surface on the notify ring.
-    dev_b.set_kernel_batch_hook(
-        ep, [&](std::span<const RxFrame> frames, const KernelCpu& cpu,
-                bool* consumed) {
-          (void)cpu;
-          for (std::size_t i = 0; i < frames.size(); ++i) {
-            ++seen_by_hook;
-            consumed[i] = (i % 2) == 0;
-            if (consumed[i]) ++consumed_total;
-          }
-        });
+    dev_b.bind(ep, RxBinding{&handlers, 0, 0});
     co_await self.sleep_for(us(20000.0));
     while (dev_b.poll(ep).has_value()) ++got_fallback;
   });
