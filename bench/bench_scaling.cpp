@@ -106,11 +106,7 @@ double run_point(double offered_kmsgs, std::size_t queues, std::size_t units,
                 64u * static_cast<std::uint32_t>(v * 64 + i),
             64);
       }
-      if (nic != nullptr) {
-        ash_sys.offload(*w.dev_b, vc, id, ctr);
-      } else {
-        ash_sys.attach(*w.dev_b, vc, id, ctr);
-      }
+      ash_sys.attach(*w.dev_b, vc, id, ctr);
     }
     co_await self.sleep_for(us(1e9));
   });

@@ -1,5 +1,6 @@
 #include "core/ash.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -203,22 +204,16 @@ const Supervisor::HandlerState& AshSystem::supervisor_state(
   return at(ash_id).health;
 }
 
-void AshSystem::clear_attachments(int ash_id, Installed& ash) {
-  for (const Attachment& att : ash.attachments) {
-    unhook(*att.port, att.channel, ash_id);
-  }
-  ash.attachments.clear();
-}
-
 void AshSystem::revoke_installed(int ash_id, Installed& ash) {
   Supervisor::force_revoke(ash.health);
-  if (ash.attachments.empty()) return;
-  // Revocation can fire from inside the handler's own device hook (a
-  // fault crossing the policy threshold mid-invocation). Clearing the
-  // hook there would destroy the closure currently executing, so defer
-  // it one event: the queue runs the clear after the driver path unwinds.
+  if (ports_.empty()) return;
+  // Revocation can fire mid-session (a fault crossing the policy
+  // threshold mid-invocation). The rest of that session must still see
+  // the binding, so that the revoked handler's later runs in it are
+  // denied and counted rather than silently posted; defer the unbinding
+  // one event: the queue runs it after the driver path unwinds.
   node_.queue().schedule_at(node_.now(), [this, ash_id] {
-    if (Installed* ash_p = find(ash_id)) clear_attachments(ash_id, *ash_p);
+    for (net::RxPort* port : ports_) port->unbind(this, ash_id);
   });
 }
 
@@ -245,25 +240,9 @@ std::uint64_t AshSystem::owner_faults(const sim::Process& owner) const {
   return it == faults_by_owner_.end() ? 0 : it->second;
 }
 
-bool AshSystem::forget(const net::RxPort& port, int channel) {
-  bool found = false;
-  for (const auto& entry : installed_) {
-    auto& atts = entry->attachments;
-    for (std::size_t i = 0; i < atts.size();) {
-      if (atts[i].port == &port && atts[i].channel == channel) {
-        atts.erase(atts.begin() + static_cast<std::ptrdiff_t>(i));
-        found = true;
-      } else {
-        ++i;
-      }
-    }
-  }
-  return found;
-}
-
 bool AshSystem::detach(net::RxPort& port, int channel) {
-  if (!forget(port, channel)) return false;
-  unhook(port, channel, port.binding(channel).handler);
+  if (port.binding(channel).handlers != this) return false;
+  port.bind(channel, {});
   return true;
 }
 
@@ -310,8 +289,8 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
 
   // Revocation is a mechanism, not policy: an explicitly revoked handler
   // is denied even when the supervisor policy is disabled. (Normally its
-  // device hooks are already cleared; this covers direct invoke callers
-  // and the window before the deferred hook-clear runs.)
+  // bindings are already cleared; this covers direct invoke callers and
+  // the rest of the session before the deferred unbinding runs.)
   if (ash.health.health == Health::Revoked) {
     ++stats.revoked_skips;
     if (trace::enabled()) {
@@ -643,6 +622,18 @@ void AshSystem::close_session(net::RxSession& s) {
   }
 }
 
+net::NicExecResult AshSystem::run_on_nic(net::RxPort& port,
+                                        const net::RxBinding& b,
+                                        const net::RxFrame& frame,
+                                        net::NicExecUnit& unit) {
+  const MsgContext msg = port_msg(port, frame, b.user_arg);
+  bool consumed = false;
+  const DispatchResult r =
+      dispatch(b.handler, {&msg, 1}, port_send(&port), port.tx_kernel_work(),
+               ChargePolicy::nic(unit), &consumed);
+  return {consumed, r.faults != 0, r.replies, r.charged};
+}
+
 bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
                        sim::Cycles tx_cost) {
   net::RxSession s{sim::KernelCpu(node_)};
@@ -653,21 +644,14 @@ bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
   return consumed;
 }
 
-void AshSystem::unhook(net::RxPort& port, int channel, int ash_id) {
-  // A later attach may have bound the channel to another handler; that
-  // binding (and its NIC residency) stays.
-  const net::RxBinding& b = port.binding(channel);
-  if (b.handlers != this || b.handler != ash_id) return;
-  port.bind(channel, {});
-  if (port.nic() != nullptr) port.nic()->detach(&port, channel);
-}
-
-void AshSystem::attach(net::RxPort& port, int channel, int ash_id,
+bool AshSystem::attach(net::RxPort& port, int channel, int ash_id,
                        std::uint32_t user_arg) {
-  Installed& ash = at(ash_id);
-  forget(port, channel);  // the handler bound there before loses it
-  ash.attachments.push_back({&port, channel});
+  at(ash_id);  // validate before the port records the binding
+  if (std::find(ports_.begin(), ports_.end(), &port) == ports_.end()) {
+    ports_.push_back(&port);
+  }
   port.bind(channel, {this, ash_id, user_arg});
+  return port.nic() != nullptr && port.nic()->resident(&port, channel);
 }
 
 std::uint32_t AshSystem::nic_footprint(int ash_id) const {
@@ -675,28 +659,6 @@ std::uint32_t AshSystem::nic_footprint(int ash_id) const {
   return static_cast<std::uint32_t>(ash.prog.insns.size() *
                                     sizeof(ash.prog.insns[0])) +
          kNicHandlerStateBytes;
-}
-
-bool AshSystem::offload(net::RxPort& port, int channel, int ash_id,
-                        std::uint32_t user_arg) {
-  // Host hook first: not-resident punts and post-detach frames must run
-  // the handler on the normal host path, so behaviour is identical minus
-  // where the cycles land.
-  attach(port, channel, ash_id, user_arg);
-  if (port.nic() == nullptr) return false;
-  net::RxPort* p = &port;
-  return port.nic()->attach(
-      &port, channel, nic_footprint(ash_id),
-      [this, p, ash_id, user_arg](const net::RxFrame& f,
-                                  net::NicExecUnit& unit) {
-        const MsgContext msg = port_msg(*p, f, user_arg);
-        bool consumed = false;
-        const DispatchResult r =
-            dispatch(ash_id, {&msg, 1}, port_send(p), p->tx_kernel_work(),
-                     ChargePolicy::nic(unit), &consumed);
-        return net::NicExecResult{consumed, r.faults != 0, r.replies,
-                                  r.charged};
-      });
 }
 
 std::string AshSystem::format_status() const {

@@ -6,7 +6,9 @@
 // demultiplexing point (an AN2 virtual circuit or an Ethernet/DPF
 // endpoint). When a message for that point arrives, the handler runs in
 // kernel context, in the address-space of its owning process, before any
-// scheduling decision:
+// scheduling decision. The demux point's binding (net::RxPort) is the one
+// record of which handler runs there — on a host CPU or, when the port
+// has a smart NIC, on a device unit:
 //
 //   * it can direct message placement (dynamic message vectoring), via
 //     sandboxed stores, TUserCopy, or a DILP integrated transfer;
@@ -184,11 +186,15 @@ class AshSystem : public net::RxHandlers {
   /// Ethernet/DPF endpoint): bind the channel to (ash_id, user_arg). The
   /// message the handler sees is the port's logical view (striping
   /// resolved by the kernel); replies via TSend go out on the port. Every
-  /// arrival — inline (a session of one on the main CPU) or a fired RX
-  /// queue batch — runs through run() inside a dispatch session. A
-  /// channel has one binding: attaching replaces the handler bound there
-  /// before, which then no longer counts the channel as its attachment.
-  void attach(net::RxPort& port, int channel, int ash_id,
+  /// host arrival — inline (a session of one on the main CPU) or a fired
+  /// RX queue batch — runs inside a dispatch session. A channel has one
+  /// binding, kept by the port alone: attaching replaces whatever was
+  /// bound there before. On a port with a NicProcessor (set_nic before
+  /// the attach) the binding also reserves nic_footprint in the NIC
+  /// window; returns whether the handler ended up NIC-resident. One that
+  /// does not fit stays host-resident, its frames counted NotResident
+  /// punts, so behaviour is identical minus where the cycles land.
+  bool attach(net::RxPort& port, int channel, int ash_id,
               std::uint32_t user_arg = 0);
 
   /// Forwarder to attach(), kept only because bench/suite/am_mix.cpp and
@@ -202,16 +208,7 @@ class AshSystem : public net::RxHandlers {
 
   /// The handler's NIC memory-window footprint: sandboxed image bytes
   /// plus fast-mem scratch and DILP persistent registers.
-  std::uint32_t nic_footprint(int ash_id) const;
-
-  /// Attach like attach(), *and* make the handler NIC-resident on the
-  /// port's NicProcessor (port.set_nic must have been called). Returns
-  /// true when the handler fit the NIC memory window — its frames then
-  /// execute on device units; false leaves it host-resident (frames are
-  /// counted NotResident punts through the normal host hook installed
-  /// here either way, so behaviour is identical minus where cycles land).
-  bool offload(net::RxPort& port, int channel, int ash_id,
-               std::uint32_t user_arg = 0);
+  std::uint32_t nic_footprint(int ash_id) const override;
 
   /// Receive-livelock guard (Section VI-4): at most `quota` handler runs
   /// per owning process per `window` cycles; beyond that, messages fall
@@ -247,16 +244,17 @@ class AshSystem : public net::RxHandlers {
   Health health(int ash_id) const;
   const Supervisor::HandlerState& supervisor_state(int ash_id) const;
 
-  /// Detach whatever handler is hooked to this demux point: the port's
-  /// binding is cleared and the attachment forgotten. Returns false when
-  /// no ASH of this system was attached there. Must not be called from
-  /// inside the handler's own invocation (revocation, which can fire
-  /// there, defers its hook-clearing instead).
+  /// Detach whatever handler of this system is bound to this demux
+  /// point: the port's binding (and with it any NIC residency) is
+  /// cleared. Returns false when the binding does not name this system.
+  /// Must not be called from inside a dispatch session (revocation, which
+  /// can fire there, defers its unbinding instead).
   bool detach(net::RxPort& port, int channel);
 
-  /// Permanently revoke a handler: marks it Revoked and clears its device
-  /// hooks (deferred through the event queue, so revocation is safe from
-  /// inside the handler's own invocation). The id stays valid for stats.
+  /// Permanently revoke a handler: marks it Revoked and asks every port
+  /// attach bound on to clear each binding that names it (deferred
+  /// through the event queue, so the rest of the current dispatch session
+  /// still sees the binding). The id stays valid for stats.
   void revoke(int ash_id);
 
   /// Revoke every handler owned by `owner`; returns how many were newly
@@ -312,6 +310,10 @@ class AshSystem : public net::RxHandlers {
   /// Pays the timer clear if the last run did not carry it, and emits the
   /// session's one BatchDispatch.
   void close_session(net::RxSession& s) override;
+  /// A NIC-resident channel's frame: one message dispatched on the unit.
+  net::NicExecResult run_on_nic(net::RxPort& port, const net::RxBinding& b,
+                                const net::RxFrame& frame,
+                                net::NicExecUnit& unit) override;
 
  private:
   /// Where a dispatch charges its cycles; the calling path chooses.
@@ -363,13 +365,6 @@ class AshSystem : public net::RxHandlers {
                           SendFn send_fn, sim::Cycles tx_cost,
                           const ChargePolicy& policy, bool* consumed);
 
-  /// One port hook this handler is attached through (for detach and
-  /// revocation-time hook clearing).
-  struct Attachment {
-    net::RxPort* port = nullptr;
-    int channel = 0;  // VC or endpoint id
-  };
-
   struct Installed {
     sim::Process* owner;
     vcode::Program prog;
@@ -380,7 +375,6 @@ class AshSystem : public net::RxHandlers {
     // AshOptions::backend is the interpreter.
     std::unique_ptr<vcode::JitBackend> jit;
     Supervisor::HandlerState health;
-    std::vector<Attachment> attachments;
   };
 
   /// Livelock window, accounted per owning process (keyed by pid).
@@ -418,21 +412,16 @@ class AshSystem : public net::RxHandlers {
   };
   RunResult run_one(int ash_id, Installed& ash, const MsgContext& msg,
                     AshEnv& env, std::uint16_t cpu_id, sim::Cycles entry);
-  /// Forget (port, channel) in every handler's attachments; true if some
-  /// handler had it.
-  bool forget(const net::RxPort& port, int channel);
-  /// Clear the port's binding (and its NIC residency) now, if it still
-  /// names handler `ash_id`.
-  void unhook(net::RxPort& port, int channel, int ash_id);
-  /// Clear all port hooks now (caller must not be inside one of them).
-  void clear_attachments(int ash_id, Installed& ash);
-  /// Mark revoked and schedule the hook-clearing after the current event
-  /// (safe from inside the handler's own invocation).
+  /// Mark revoked and schedule the unbinding after the current event
+  /// (safe from inside a session).
   void revoke_installed(int ash_id, Installed& ash);
 
   sim::Node& node_;
   dilp::Engine dilp_;
   std::vector<std::unique_ptr<Installed>> installed_;
+  /// Every port attach bound on; revocation unbinds through them, so each
+  /// must outlive this system.
+  std::vector<net::RxPort*> ports_;
   std::uint32_t livelock_quota_ = 0;  // 0 = disabled
   sim::Cycles livelock_window_ = 0;
   std::unordered_map<std::uint32_t, LivelockWindow> livelock_by_owner_;

@@ -40,24 +40,22 @@ NicProcessor::Resident* NicProcessor::find(const RxSink* sink, int channel) {
   return nullptr;
 }
 
-bool NicProcessor::attach(RxSink* sink, int channel, std::uint32_t footprint,
-                          NicHook hook) {
+bool NicProcessor::attach(RxSink* sink, int channel,
+                          std::uint32_t footprint) {
   if (Resident* prev = find(sink, channel)) {
-    // Re-download of an attached channel: give back the old reservation
+    // Rebinding an attached channel: give back the old reservation
     // before sizing the new image against the window.
     if (prev->fits) window_used_ -= prev->footprint;
     prev->footprint = footprint;
     prev->fits = footprint <= cfg_.mem_window_bytes - window_used_;
     if (prev->fits) window_used_ += footprint;
-    prev->hook = prev->fits ? std::move(hook) : NicHook{};
     return prev->fits;
   }
   const bool fits = footprint <= cfg_.mem_window_bytes - window_used_;
   if (fits) window_used_ += footprint;
   // A no-fit channel is recorded too: its frames must be *counted*
   // NotResident punts, not silently host-path traffic.
-  residents_.push_back(Resident{sink, channel, footprint,
-                                fits ? std::move(hook) : NicHook{}, fits});
+  residents_.push_back(Resident{sink, channel, footprint, fits});
   return fits;
 }
 
@@ -152,7 +150,7 @@ void NicProcessor::pump(std::size_t qi) {
     RxFrame f = q.pending.front();
     q.pending.pop_front();
     // Unwind off the device's deliver stack before running the handler
-    // (the hook may TSend, which re-enters the wire). Same-time events
+    // (it may TSend, which re-enters the wire). Same-time events
     // run FIFO, so per-channel order is preserved.
     node_.queue().schedule_at(node_.now(),
                               [this, qi, &u, f] { dispatch(qi, u, f); });
@@ -169,13 +167,15 @@ void NicProcessor::dispatch(std::size_t qi, Unit& u, RxFrame f) {
   bool consumed = false;
   PuntReason why = PuntReason::HostService;
   sim::Cycles charged = 0;
-  if (r == nullptr || !r->hook) {
-    // Detached (revocation) while parked on-device: the handler is gone;
-    // hand the frame back without running anything.
+  if (r == nullptr || !r->fits) {
+    // Released (unbound, revoked) or rebound to an image that no longer
+    // fits while parked on-device: nothing may run here; hand the frame
+    // back without running anything.
     charged = cfg_.cost.punt_handoff;
     u.exec.work(charged);
   } else {
-    const NicExecResult res = r->hook(f, u.exec);
+    // The sink runs whatever the channel is bound to now.
+    const NicExecResult res = f.sink->nic_run(f, u.exec);
     consumed = res.consumed;
     if (!consumed) why = res.faulted ? PuntReason::Fault
                                      : PuntReason::HostService;

@@ -31,6 +31,12 @@
 //    that do not fit stay host-resident and every frame for them is a
 //    counted NotResident punt taking the normal host path.
 //
+//  * residency follows the port's binding, the one record of what runs
+//    on a channel: RxPort::bind reserves the handler's footprint here, an
+//    empty binding or a per-frame hook releases it. A unit runs a
+//    resident frame through its sink (RxSink::nic_run), i.e. whatever
+//    the channel's binding names at that moment.
+//
 //  * transparent punts — a NIC run that does not commit (voluntary abort,
 //    admission denial, involuntary fault) hands the frame back to the
 //    host: the sink's nic_punt() charges the host-side handoff on the
@@ -55,7 +61,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,21 +153,6 @@ class NicExecUnit {
   std::size_t unit_;
 };
 
-/// What one NIC-side invocation did (returned by the installed NicHook,
-/// i.e. by AshSystem::dispatch under the NIC charge policy).
-struct NicExecResult {
-  bool consumed = false;  // committed: the message is fully handled
-  bool faulted = false;   // involuntary abort (punt attribution)
-  std::uint32_t replies = 0;   // TSends issued from the device
-  sim::Cycles charged = 0;     // device cycles charged on the unit
-};
-
-/// Per-channel hook the ASH layer installs at offload time: run the
-/// handler for `frame` on `unit`, charging the unit under the NIC cost
-/// model. Defined here because net cannot depend on core (the same
-/// precedent as RxQuota).
-using NicHook = std::function<NicExecResult(const RxFrame&, NicExecUnit&)>;
-
 class NicProcessor {
  public:
   struct QueueStats {
@@ -190,16 +180,17 @@ class NicProcessor {
   // ---- residency (the memory window) ----
 
   /// Try to make (sink, channel) NIC-resident: reserve `footprint` bytes
-  /// of the memory window and install `hook`. Returns false — leaving the
-  /// channel host-resident, its frames counted as NotResident punts —
-  /// when the footprint does not fit in what remains of the window.
-  /// Re-attaching a resident channel releases the old reservation first.
-  bool attach(RxSink* sink, int channel, std::uint32_t footprint,
-              NicHook hook);
+  /// of the memory window (RxPort::bind calls this for a bound channel).
+  /// Returns false — leaving the channel host-resident, its frames
+  /// counted as NotResident punts — when the footprint does not fit in
+  /// what remains of the window. Re-attaching a channel releases its old
+  /// reservation first.
+  bool attach(RxSink* sink, int channel, std::uint32_t footprint);
 
-  /// Forget (sink, channel) entirely: release its window reservation and
-  /// hook (revocation/detach). Frames already parked on-device complete
-  /// as HostService punts; new frames take the host path uncounted.
+  /// Forget (sink, channel) entirely: release its window reservation
+  /// (an unbound channel, or one given a per-frame hook). Frames already
+  /// parked on-device complete as HostService punts; new frames take the
+  /// host path uncounted.
   void detach(RxSink* sink, int channel);
 
   bool resident(const RxSink* sink, int channel) const;
@@ -249,7 +240,6 @@ class NicProcessor {
     RxSink* sink;
     int channel;
     std::uint32_t footprint;
-    NicHook hook;
     bool fits;
   };
 

@@ -78,15 +78,29 @@ void RxPort::set_interrupt_mode(int channel, bool on) {
 }
 
 void RxPort::set_kernel_hook(int channel, KernelHook hook) {
-  Channel& c = chan_at(channel);
-  c.hook = std::move(hook);
-  c.binding = {};
+  bind(channel, {});  // the binding, and any NIC residency, go
+  chan(channel).hook = std::move(hook);
 }
 
 void RxPort::bind(int channel, const RxBinding& b) {
   Channel& c = chan_at(channel);
   c.binding = b;
   c.hook = nullptr;
+  if (nic_ == nullptr) return;
+  if (b.handlers != nullptr) {
+    nic_->attach(this, channel, b.handlers->nic_footprint(b.handler));
+  } else {
+    nic_->detach(this, channel);
+  }
+}
+
+void RxPort::unbind(const RxHandlers* handlers, int handler) {
+  for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
+    const RxBinding& b = channels_[ch].binding;
+    if (b.handlers == handlers && b.handler == handler) {
+      bind(static_cast<int>(ch), {});
+    }
+  }
 }
 
 const RxBinding& RxPort::binding(int channel) const {
@@ -212,6 +226,13 @@ void RxPort::wake(int channel, const sim::KernelCpu& cpu) {
 void RxPort::rx_drop(const RxFrame& frame) {
   recycle(frame);
   count_drop(frame.channel);
+}
+
+NicExecResult RxPort::nic_run(const RxFrame& frame, NicExecUnit& unit) {
+  // The processor holds only bound channels resident, so the binding is
+  // set: run whatever it names now.
+  const RxBinding b = chan(frame.channel).binding;
+  return b.handlers->run_on_nic(*this, b, frame, unit);
 }
 
 void RxPort::nic_consumed(const RxFrame& frame) {

@@ -9,7 +9,9 @@
 //  * the per-channel table (an AN2 virtual circuit or an Ethernet/DPF
 //    endpoint): owner, free and notification rings, arrival channel,
 //    interrupt mode, and the channel's hook — a handler binding or a
-//    per-frame kernel hook;
+//    per-frame kernel hook. It is the one record of what runs on a
+//    channel: a smart NIC holds a channel resident exactly while it is
+//    bound, and its units run the binding;
 //  * the steer tail of delivery: a smart-NIC offer first, then the
 //    multi-queue receive set, else the inline interrupt-time path;
 //  * the dispatch session over bound channels, hook invocation, and the
@@ -95,6 +97,14 @@ class RxHandlers {
   /// End `s` once its last run has settled: pay the exit charge if no
   /// run carried it.
   virtual void close_session(RxSession& s) = 0;
+  /// The NIC memory-window footprint of `handler`: what binding it on a
+  /// port with a NicProcessor reserves there.
+  virtual std::uint32_t nic_footprint(int handler) const = 0;
+  /// Run `b`'s handler over one NIC-resident frame on `unit`, charging
+  /// the unit under the NIC cost model (the unit releases its replies).
+  virtual NicExecResult run_on_nic(RxPort& port, const RxBinding& b,
+                                   const RxFrame& frame,
+                                   NicExecUnit& unit) = 0;
 };
 
 class RxPort : public RxSink {
@@ -171,12 +181,16 @@ class RxPort : public RxSink {
   /// a per-frame hook or a handler binding: installing either replaces
   /// the other, and a null hook or an empty binding clears it
   /// (detach/revocation) — arrivals then take the device's normal
-  /// delivery path.
+  /// delivery path. Both calls keep the channel's NIC residency in step:
+  /// the port's NicProcessor holds a channel only while it is bound.
   void set_kernel_hook(int channel, KernelHook hook);
   /// Bind the channel to a handler (the ASH attachment point). Its frames
   /// then run through `b.handlers` inside a dispatch session; the frames
-  /// carry the same layout as RxEvent::desc in `addr`/`len`.
+  /// carry the same layout as RxEvent::desc in `addr`/`len`. With a NIC
+  /// set, this reserves the handler's footprint there (see set_nic).
   void bind(int channel, const RxBinding& b);
+  /// Clear every binding that names `handler` of `handlers`.
+  void unbind(const RxHandlers* handlers, int handler);
   const RxBinding& binding(int channel) const;
   bool has_kernel_hook(int channel) const;
 
@@ -194,7 +208,8 @@ class RxPort : public RxSink {
   /// Put a smart-NIC handler processor in front of the queue set: frames
   /// for NIC-resident channels are offered to it at steer time. Requires
   /// set_rx_queues; nullptr restores the pure host path. The processor
-  /// must outlive the port's traffic.
+  /// must outlive the port's traffic. Set it before binding the channels
+  /// it should hold: residency is reserved when a channel is bound.
   void set_nic(NicProcessor* nic) noexcept { nic_ = nic; }
   NicProcessor* nic() const noexcept { return nic_; }
 
@@ -202,6 +217,7 @@ class RxPort : public RxSink {
   void rx_batch(std::span<const RxFrame> frames,
                 const sim::KernelCpu& cpu) final;
   void rx_drop(const RxFrame& frame) final;
+  NicExecResult nic_run(const RxFrame& frame, NicExecUnit& unit) final;
   void nic_consumed(const RxFrame& frame) final;
   void nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) final;
 

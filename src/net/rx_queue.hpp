@@ -49,6 +49,7 @@
 
 namespace ash::net {
 
+class NicExecUnit;
 class RxSink;
 
 /// One steered frame parked in an RxQueue. The device fills everything at
@@ -64,6 +65,15 @@ struct RxFrame {
   sim::Process* owner = nullptr;
   sim::Cycles driver_cycles = 0;
   sim::Cycles enqueued_at = 0;
+};
+
+/// What one NIC-side run did (RxSink::nic_run, i.e. AshSystem::dispatch
+/// under the NIC charge policy).
+struct NicExecResult {
+  bool consumed = false;  // committed: the message is fully handled
+  bool faulted = false;   // involuntary abort (punt attribution)
+  std::uint32_t replies = 0;   // TSends issued from the device
+  sim::Cycles charged = 0;     // device cycles charged on the unit
 };
 
 /// Device-side consumer of a fired batch (net::RxPort, for both NIC
@@ -86,8 +96,16 @@ class RxSink {
   //
   // Default no-ops so sinks that never offload (tests' FakeSinks) need
   // not care. A device that hands frames to a NicProcessor overrides
-  // both.
+  // all three.
 
+  /// Run whatever is bound to `frame`'s channel now, on NIC unit `unit`,
+  /// charging the unit under the NIC cost model. Called only for a
+  /// channel the processor holds resident.
+  virtual NicExecResult nic_run(const RxFrame& frame, NicExecUnit& unit) {
+    (void)frame;
+    (void)unit;
+    return {};
+  }
   /// The NIC committed `frame` entirely on-device: recycle its receive
   /// buffer. Charges nothing — the device owns buffer bookkeeping.
   virtual void nic_consumed(const RxFrame& frame) { (void)frame; }

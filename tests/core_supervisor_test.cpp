@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "core/supervisor.hpp"
 #include "dilp/pipe.hpp"
@@ -492,10 +493,15 @@ TEST(Containment, TSendsReleasedOnlyOnHalt) {
 
 TEST(Containment, RevokingAReplacedHandlerKeepsTheReplacementAttached) {
   // A channel has one binding: attaching B over A moves the channel to B,
-  // so revoking A afterwards must leave B bound — and, offloaded, leave
-  // B's NIC residency in place.
-  for (const bool nic_leg : {false, true}) {
-    SCOPED_TRACE(nic_leg ? "offload" : "attach");
+  // and on a NIC port its residency with it, so a unit runs B, never A.
+  // Revoking A afterwards must leave B bound and resident.
+  const std::pair<bool, bool> legs[] = {
+      {false, true}, {true, true}, {false, false}, {true, false}};
+  for (const std::pair<bool, bool>& leg : legs) {
+    const bool nic_leg = leg.first;
+    const bool revoke_a = leg.second;
+    SCOPED_TRACE(nic_leg ? "nic" : "host");
+    SCOPED_TRACE(revoke_a ? "revoke A" : "keep A");
     SupWorld w;
     std::unique_ptr<net::RxQueueSet> rxq;
     std::unique_ptr<net::NicProcessor> nic;
@@ -517,37 +523,43 @@ TEST(Containment, RevokingAReplacedHandlerKeepsTheReplacementAttached) {
       const int b = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
       EXPECT_GE(a, 0) << error;
       EXPECT_GE(b, 0) << error;
-      if (nic_leg) {
-        EXPECT_TRUE(w.ash_b->offload(*w.dev_b, vc, a));
-        EXPECT_TRUE(w.ash_b->offload(*w.dev_b, vc, b));
-      } else {
-        w.ash_b->attach(*w.dev_b, vc, a);
-        w.ash_b->attach(*w.dev_b, vc, b);
-      }
-      w.ash_b->revoke(a);
-      co_await self.sleep_for(us(1000.0));  // the deferred unhook runs
+      // attach reports whether the handler ended up on the NIC.
+      EXPECT_EQ(w.ash_b->attach(*w.dev_b, vc, a), nic_leg);
+      EXPECT_EQ(w.ash_b->attach(*w.dev_b, vc, b), nic_leg);
+      if (revoke_a) w.ash_b->revoke(a);
+      co_await self.sleep_for(us(1000.0));  // any deferred unbind runs
 
-      EXPECT_EQ(w.ash_b->health(a), Health::Revoked);
+      EXPECT_EQ(w.ash_b->health(a),
+                revoke_a ? Health::Revoked : Health::Healthy);
       EXPECT_EQ(w.ash_b->health(b), Health::Healthy);
       EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
       if (nic_leg) {
         EXPECT_TRUE(nic->resident(w.dev_b, vc));
+        EXPECT_EQ(nic->window_used(), w.ash_b->nic_footprint(b));
       }
 
       co_await self.sleep_for(us(5000.0));
-      // The message sent after the revocation ran B, not the ring.
+      // The message sent after the rebinding ran B (on a unit, on the NIC
+      // leg), not A and not the ring.
       EXPECT_EQ(w.ash_b->stats(b).commits, 1u);
       EXPECT_EQ(w.ash_b->stats(a).invocations, 0u);
       EXPECT_FALSE(w.dev_b->poll(vc).has_value());
       if (nic_leg) {
         EXPECT_EQ(nic->totals().nic_executed, 1u);
+        EXPECT_EQ(nic->totals().punted, 0u);
       }
 
-      // B's own detach still unhooks the channel.
+      // Another AshSystem's detach leaves a binding it does not own; B's
+      // own detach still unhooks the channel and releases its residency.
+      AshSystem other(*w.b);
+      EXPECT_FALSE(other.detach(*w.dev_b, vc));
+      EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
       EXPECT_TRUE(w.ash_b->detach(*w.dev_b, vc));
       EXPECT_FALSE(w.dev_b->has_kernel_hook(vc));
       if (nic_leg) {
         EXPECT_FALSE(nic->resident(w.dev_b, vc));
+        EXPECT_EQ(nic->window_used(), 0u);
+        EXPECT_EQ(nic->attached(), 0u);
       }
     });
     w.sim.queue().schedule_at(us(3000.0),
@@ -556,28 +568,53 @@ TEST(Containment, RevokingAReplacedHandlerKeepsTheReplacementAttached) {
   }
 
   // A per-frame hook installed over A's binding replaces it just the
-  // same: revoking A must leave that hook in place.
-  SupWorld w;
-  int hook_calls = 0;
-  w.b->kernel().spawn("owner", [&](Process& self) -> Task {
-    const int vc = w.dev_b->bind_vc(self);
-    w.dev_b->supply_buffer(vc, self.segment().base, 64);
-    std::string error;
-    const int a = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
-    EXPECT_GE(a, 0) << error;
-    w.ash_b->attach(*w.dev_b, vc, a);
-    w.dev_b->set_kernel_hook(vc, [&](const net::RxPort::RxEvent&) {
-      ++hook_calls;
-      return true;
+  // same, residency included: the hook runs, A never does, and revoking A
+  // must leave the hook in place.
+  for (const std::pair<bool, bool>& leg : legs) {
+    const bool nic_leg = leg.first;
+    const bool revoke_a = leg.second;
+    SCOPED_TRACE(nic_leg ? "nic, per-frame hook" : "host, per-frame hook");
+    SCOPED_TRACE(revoke_a ? "revoke A" : "keep A");
+    SupWorld w;
+    std::unique_ptr<net::RxQueueSet> rxq;
+    std::unique_ptr<net::NicProcessor> nic;
+    if (nic_leg) {
+      rxq = std::make_unique<net::RxQueueSet>(*w.b, net::RxQueueSet::Config{});
+      w.dev_b->set_rx_queues(rxq.get());
+      nic = std::make_unique<net::NicProcessor>(*w.b, *rxq);
+      w.dev_b->set_nic(nic.get());
+    }
+    int hook_calls = 0;
+    w.b->kernel().spawn("owner", [&](Process& self) -> Task {
+      const int vc = w.dev_b->bind_vc(self);
+      w.dev_b->supply_buffer(vc, self.segment().base, 64);
+      std::string error;
+      const int a = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
+      EXPECT_GE(a, 0) << error;
+      EXPECT_EQ(w.ash_b->attach(*w.dev_b, vc, a), nic_leg);
+      w.dev_b->set_kernel_hook(vc, [&](const net::RxPort::RxEvent&) {
+        ++hook_calls;
+        return true;
+      });
+      if (nic_leg) {
+        EXPECT_FALSE(nic->resident(w.dev_b, vc));
+        EXPECT_EQ(nic->window_used(), 0u);
+      }
+      if (revoke_a) w.ash_b->revoke(a);
+      co_await self.sleep_for(us(6000.0));
+      EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
+      EXPECT_EQ(hook_calls, 1);
+      EXPECT_EQ(w.ash_b->stats(a).invocations, 0u);
+      EXPECT_FALSE(w.dev_b->poll(vc).has_value());
+      if (nic_leg) {
+        EXPECT_EQ(nic->totals().offered, 0u);
+      }
+      // The binding no longer names this system: nothing to detach.
+      EXPECT_FALSE(w.ash_b->detach(*w.dev_b, vc));
     });
-    w.ash_b->revoke(a);
-    co_await self.sleep_for(us(6000.0));
-    EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
-    EXPECT_EQ(hook_calls, 1);
-    EXPECT_EQ(w.ash_b->stats(a).invocations, 0u);
-  });
-  w.sim.queue().schedule_at(us(3000.0), [&] { w.dev_a->send(0, kGoodMsg); });
-  w.sim.run();
+    w.sim.queue().schedule_at(us(3000.0), [&] { w.dev_a->send(0, kGoodMsg); });
+    w.sim.run();
+  }
 }
 
 TEST(Containment, DilpPersistentRegsKeepSeedAcrossFaultedTransfer) {

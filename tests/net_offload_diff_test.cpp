@@ -190,10 +190,11 @@ Delivered replay(const std::vector<CorpusMsg>& corpus,
         ctr_addr[v - kFirstAshVc] =
             self.segment().base + 0x80000 + 0x100u * (v - kFirstAshVc);
         const int id = v == kFirstAshVc ? id_inc : id_par;
-        // offload() falls back to a plain host attach when no NIC is
-        // present — one code path for every case in the table.
+        // attach() places the handler on the NIC when the port has one
+        // and on the host otherwise — one code path for every case in
+        // the table.
         const bool res =
-            ash_sys.offload(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
+            ash_sys.attach(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
         if (cfg.nic_units > 0) {
           EXPECT_EQ(res, !(cfg.tiny_window && v != kFirstAshVc))
               << cfg.name << " vc " << v;
@@ -324,9 +325,9 @@ TEST(OffloadDiff, CorpusDeliveryAndStatsIdenticalHostVsOffload) {
 }
 
 // ---------------------------------------------------------------------------
-// offload() on Ethernet end-to-end: the Ethernet device's DPF-demuxed
+// NIC offload on Ethernet end-to-end: the Ethernet device's DPF-demuxed
 // receive path drives the same NIC units as An2 (striped message access,
-// device-framed replies). A plain attach() run is ground truth: the
+// device-framed replies). A run without a NIC is ground truth: the
 // counter, the echoed-reply set at the sender, and the handler's outcome
 // taxonomy must match with every frame executing on-device in the offload
 // run.
@@ -379,7 +380,7 @@ EthRun replay_eth(bool offload) {
       nc.units_per_queue = 2;
       nic = std::make_unique<NicProcessor>(b, rxq, nc);
       dev_b.set_nic(nic.get());
-      EXPECT_TRUE(ash_sys.offload(dev_b, ep, id, ctr_addr));
+      EXPECT_TRUE(ash_sys.attach(dev_b, ep, id, ctr_addr));
     } else {
       ash_sys.attach(dev_b, ep, id, ctr_addr);
     }

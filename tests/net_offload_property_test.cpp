@@ -210,7 +210,7 @@ RunResult replay(const std::vector<CorpusMsg>& corpus,
         ash_ids[v] = id;
         const std::uint32_t ctr =
             self.segment().base + 0x80000 + 0x100u * static_cast<unsigned>(i);
-        out->resident[v] = ash_sys.offload(dev_b, vc, id, ctr);
+        out->resident[v] = ash_sys.attach(dev_b, vc, id, ctr);
         if (offload) {
           EXPECT_EQ(out->resident[v], kinds[v] != Kind::Oversized)
               << "vc " << v;

@@ -1,14 +1,16 @@
 // NicProcessor in isolation: the memory-window reservation arithmetic,
 // the enqueue protocol (overflow before quota, mirroring RxQueue), punt
-// attribution per reason, detach-while-parked semantics, and the summary
-// formats `ashtool offload` prints. Hooks here are test-local lambdas —
-// the AshSystem-backed end-to-end paths live in net_offload_diff_test and
-// net_offload_property_test.
+// attribution per reason, detach- and resize-while-parked semantics, and
+// the summary formats `ashtool offload` prints. The sink's nic_run runs
+// test-local per-channel lambdas — the AshSystem-backed end-to-end paths
+// live in net_offload_diff_test and net_offload_property_test.
 #include "net/nic_offload.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/rx_queue.hpp"
@@ -25,8 +27,13 @@ using sim::Process;
 using sim::Simulator;
 using sim::us;
 
+/// A channel's stand-in for the handler its binding names.
+using TestHook = std::function<NicExecResult(const RxFrame&, NicExecUnit&)>;
+
 struct FakeSink final : RxSink {
   std::uint64_t batches = 0;
+  std::uint64_t nic_runs = 0;             // nic_run calls, any channel
+  std::unordered_map<int, TestHook> hooks;  // what each channel runs
   std::vector<int> consumed;              // channels committed on-device
   std::vector<int> punted;                // channels handed back
   std::vector<std::uint16_t> punt_cpus;   // host CPU each punt completed on
@@ -36,6 +43,10 @@ struct FakeSink final : RxSink {
     ++batches;
   }
   void rx_drop(const RxFrame& f) override { drop_bufs.push_back(f.buf_addr); }
+  NicExecResult nic_run(const RxFrame& f, NicExecUnit& u) override {
+    ++nic_runs;
+    return hooks.at(f.channel)(f, u);
+  }
   void nic_consumed(const RxFrame& f) override {
     consumed.push_back(f.channel);
   }
@@ -82,9 +93,17 @@ RxFrame frame(FakeSink& sink, int channel, std::uint32_t buf = 0,
   return f;
 }
 
+/// Give `channel` `hook` to run, then reserve `footprint` for it — what
+/// RxPort::bind does for a bound channel.
+bool attach(NicProcessor& nic, FakeSink& sink, int channel,
+            std::uint32_t footprint, TestHook hook) {
+  sink.hooks[channel] = std::move(hook);
+  return nic.attach(&sink, channel, footprint);
+}
+
 /// A hook that commits on-device, charging `busy` unit-cycles.
-NicHook consume_hook(std::uint64_t* runs, sim::Cycles busy,
-                     std::uint32_t replies = 0) {
+TestHook consume_hook(std::uint64_t* runs, sim::Cycles busy,
+                      std::uint32_t replies = 0) {
   return [runs, busy, replies](const RxFrame&, NicExecUnit& u) {
     if (runs != nullptr) ++*runs;
     NicExecResult r;
@@ -96,7 +115,7 @@ NicHook consume_hook(std::uint64_t* runs, sim::Cycles busy,
   };
 }
 
-NicHook punt_hook(bool faulted) {
+TestHook punt_hook(bool faulted) {
   return [faulted](const RxFrame&, NicExecUnit& u) {
     NicExecResult r;
     r.consumed = false;
@@ -116,12 +135,12 @@ TEST(OffloadUnit, WindowAccountingAcrossAttachDetachReattach) {
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
 
-  EXPECT_TRUE(nic.attach(&sink, 0, 600, consume_hook(nullptr, 0)));
+  EXPECT_TRUE(nic.attach(&sink, 0, 600));
   EXPECT_EQ(nic.window_used(), 600u);
   EXPECT_TRUE(nic.resident(&sink, 0));
 
   // Does not fit: recorded (counted NotResident later), not reserved.
-  EXPECT_FALSE(nic.attach(&sink, 1, 600, consume_hook(nullptr, 0)));
+  EXPECT_FALSE(nic.attach(&sink, 1, 600));
   EXPECT_EQ(nic.window_used(), 600u);
   EXPECT_FALSE(nic.resident(&sink, 1));
   EXPECT_EQ(nic.attached(), 2u);
@@ -130,14 +149,14 @@ TEST(OffloadUnit, WindowAccountingAcrossAttachDetachReattach) {
   nic.detach(&sink, 0);
   EXPECT_EQ(nic.window_used(), 0u);
   EXPECT_EQ(nic.attached(), 1u);
-  EXPECT_TRUE(nic.attach(&sink, 1, 600, consume_hook(nullptr, 0)));
+  EXPECT_TRUE(nic.attach(&sink, 1, 600));
   EXPECT_EQ(nic.window_used(), 600u);
 
   // Re-attach (re-download) of a resident channel sizes the *new* image
   // against the window with the old reservation released first.
-  EXPECT_TRUE(nic.attach(&sink, 1, 900, consume_hook(nullptr, 0)));
+  EXPECT_TRUE(nic.attach(&sink, 1, 900));
   EXPECT_EQ(nic.window_used(), 900u);
-  EXPECT_FALSE(nic.attach(&sink, 1, 1200, consume_hook(nullptr, 0)));
+  EXPECT_FALSE(nic.attach(&sink, 1, 1200));
   EXPECT_EQ(nic.window_used(), 0u);  // shrank out of residency entirely
   EXPECT_FALSE(nic.resident(&sink, 1));
 
@@ -165,7 +184,7 @@ TEST(OffloadUnit, NotResidentFramesAreCountedPuntsOnTheHostPath) {
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
   std::uint64_t runs = 0;
-  EXPECT_FALSE(nic.attach(&sink, 0, 4096, consume_hook(&runs, 0)));
+  EXPECT_FALSE(attach(nic, sink, 0, 4096, consume_hook(&runs, 0)));
 
   // false = caller continues down the host path; but the punt is counted.
   EXPECT_FALSE(nic.offer(frame(sink, 0)));
@@ -188,8 +207,8 @@ TEST(OffloadUnit, ConsumeOnDeviceCountsRepliesAndCycles) {
   NicProcessor nic(n, rxq, {});
   FakeSink sink;
   std::uint64_t runs = 0;
-  ASSERT_TRUE(nic.attach(&sink, 2, 512,
-                         consume_hook(&runs, us(4.0), /*replies=*/1)));
+  ASSERT_TRUE(attach(nic, sink, 2, 512,
+                     consume_hook(&runs, us(4.0), /*replies=*/1)));
 
   EXPECT_TRUE(nic.offer(frame(sink, 2)));
   sim.run(us(1000.0));
@@ -222,7 +241,7 @@ TEST(OffloadUnit, OverflowIsADeviceDropCheckedBeforeTheQuota) {
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
   std::uint64_t runs = 0;
-  ASSERT_TRUE(nic.attach(&sink, 0, 256, consume_hook(&runs, us(500.0))));
+  ASSERT_TRUE(attach(nic, sink, 0, 256, consume_hook(&runs, us(500.0))));
 
   // Frame 1 goes straight to the (only) unit, frame 2 parks, frame 3
   // overflows the single descriptor slot — a device-attributed drop that
@@ -261,7 +280,7 @@ TEST(OffloadUnit, QuotaDropIsAttributedToTheTenant) {
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
   std::uint64_t runs = 0;
-  ASSERT_TRUE(nic.attach(&sink, 0, 256, consume_hook(&runs, us(500.0))));
+  ASSERT_TRUE(attach(nic, sink, 0, 256, consume_hook(&runs, us(500.0))));
 
   EXPECT_TRUE(nic.offer(frame(sink, 0, 0xA0, &owner)));
   EXPECT_TRUE(nic.offer(frame(sink, 0, 0xB0, &owner)));  // over occupancy
@@ -283,7 +302,7 @@ TEST(OffloadUnit, DetachWhileParkedPuntsWithoutRunningTheHandler) {
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
   std::uint64_t runs = 0;
-  ASSERT_TRUE(nic.attach(&sink, 0, 256, consume_hook(&runs, us(500.0))));
+  ASSERT_TRUE(attach(nic, sink, 0, 256, consume_hook(&runs, us(500.0))));
 
   EXPECT_TRUE(nic.offer(frame(sink, 0)));
   EXPECT_TRUE(nic.offer(frame(sink, 0)));
@@ -303,14 +322,56 @@ TEST(OffloadUnit, DetachWhileParkedPuntsWithoutRunningTheHandler) {
   EXPECT_EQ(s.offered, s.nic_executed + s.punted + s.dropped);
 }
 
+TEST(OffloadUnit, ResizeOutOfTheWindowWhileParkedPuntsWithoutRunning) {
+  Simulator sim;
+  Node& n = sim.add_node("n");
+  RxQueueSet rxq(n, {});
+  NicConfig cfg;
+  cfg.units_per_queue = 1;
+  cfg.mem_window_bytes = 1000;
+  NicProcessor nic(n, rxq, cfg);
+  FakeSink sink;
+  ASSERT_TRUE(attach(nic, sink, 0, 256, consume_hook(nullptr, us(500.0))));
+  ASSERT_TRUE(attach(nic, sink, 1, 300, consume_hook(nullptr, 0)));
+  EXPECT_EQ(nic.window_used(), 556u);
+
+  EXPECT_TRUE(nic.offer(frame(sink, 0)));
+  EXPECT_TRUE(nic.offer(frame(sink, 0)));
+  // The channel is rebound to an image that no longer fits while its
+  // frames are parked: the record stays (later frames are counted
+  // NotResident punts) but nothing may run on a unit for it. Both parked
+  // frames complete as HostService punts, each paying the handoff.
+  EXPECT_FALSE(nic.attach(&sink, 0, 800));
+  EXPECT_EQ(nic.window_used(), 300u);
+  EXPECT_FALSE(nic.resident(&sink, 0));
+  sim.run(us(5000.0));
+
+  EXPECT_EQ(sink.nic_runs, 0u);
+  const auto& s = nic.stats(0);
+  EXPECT_EQ(s.punted, 2u);
+  EXPECT_EQ(s.by_punt_reason[static_cast<std::size_t>(
+                PuntReason::HostService)],
+            2u);
+  EXPECT_EQ(s.nic_cycles, 2 * cfg.cost.punt_handoff);
+  ASSERT_EQ(sink.punted.size(), 2u);
+  EXPECT_EQ(s.offered, s.nic_executed + s.punted + s.dropped);
+
+  // The window stays exact: only channel 1's reservation is held, and
+  // shrinking channel 0 back into the space left reserves exactly it.
+  EXPECT_EQ(nic.window_used(), 300u);
+  EXPECT_EQ(nic.attached(), 2u);
+  EXPECT_TRUE(nic.attach(&sink, 0, 700));
+  EXPECT_EQ(nic.window_used(), 1000u);
+}
+
 TEST(OffloadUnit, FaultedRunsArePuntedWithFaultAttribution) {
   Simulator sim;
   Node& n = sim.add_node("n");
   RxQueueSet rxq(n, {});
   NicProcessor nic(n, rxq, {});
   FakeSink sink;
-  ASSERT_TRUE(nic.attach(&sink, 0, 256, punt_hook(/*faulted=*/true)));
-  ASSERT_TRUE(nic.attach(&sink, 1, 256, punt_hook(/*faulted=*/false)));
+  ASSERT_TRUE(attach(nic, sink, 0, 256, punt_hook(/*faulted=*/true)));
+  ASSERT_TRUE(attach(nic, sink, 1, 256, punt_hook(/*faulted=*/false)));
 
   EXPECT_TRUE(nic.offer(frame(sink, 0)));
   EXPECT_TRUE(nic.offer(frame(sink, 1)));
@@ -335,8 +396,8 @@ TEST(OffloadUnit, MultiQueueSteeringMatchesTheHostPolicyAndTotalsSum) {
   NicProcessor nic(n, rxq, {});
   EXPECT_EQ(nic.queues(), 2u);
   FakeSink sink;
-  ASSERT_TRUE(nic.attach(&sink, 0, 128, consume_hook(nullptr, us(1.0))));
-  ASSERT_TRUE(nic.attach(&sink, 1, 128, consume_hook(nullptr, us(1.0))));
+  ASSERT_TRUE(attach(nic, sink, 0, 128, consume_hook(nullptr, us(1.0))));
+  ASSERT_TRUE(attach(nic, sink, 1, 128, consume_hook(nullptr, us(1.0))));
 
   EXPECT_TRUE(nic.offer(frame(sink, 0)));
   EXPECT_TRUE(nic.offer(frame(sink, 1)));
@@ -359,8 +420,8 @@ TEST(OffloadUnit, SummaryFormatsCarryTheOffloadColumns) {
   cfg.mem_window_bytes = 1024;
   NicProcessor nic(n, rxq, cfg);
   FakeSink sink;
-  ASSERT_TRUE(nic.attach(&sink, 0, 512, consume_hook(nullptr, us(1.0))));
-  EXPECT_FALSE(nic.attach(&sink, 1, 1024, consume_hook(nullptr, us(1.0))));
+  ASSERT_TRUE(attach(nic, sink, 0, 512, consume_hook(nullptr, us(1.0))));
+  EXPECT_FALSE(attach(nic, sink, 1, 1024, consume_hook(nullptr, us(1.0))));
   EXPECT_TRUE(nic.offer(frame(sink, 0)));
   EXPECT_FALSE(nic.offer(frame(sink, 1)));  // NotResident
   sim.run(us(1000.0));

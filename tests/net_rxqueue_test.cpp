@@ -546,6 +546,12 @@ TEST(RxQueue, EthernetBatchHookConsumesAndDeclinedFramesFallBack) {
       }
     }
     void close_session(RxSession&) override {}
+    // The port has no NIC: neither is ever called.
+    std::uint32_t nic_footprint(int) const override { return 0; }
+    NicExecResult run_on_nic(RxPort&, const RxBinding&, const RxFrame&,
+                             NicExecUnit&) override {
+      return {};
+    }
   } handlers(seen_by_hook, consumed_total);
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int ep = dev_b.attach(self, eth_type_filter(0x0800));

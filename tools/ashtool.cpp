@@ -421,11 +421,7 @@ int cmd_queues(const std::string& file, int msgs, const std::string& mode,
                     64u * static_cast<std::uint32_t>(v * 32 + i),
                 64);
           }
-          if (offload) {
-            ashsys.offload(dev_s, vc, id, scratch);
-          } else {
-            ashsys.attach(dev_s, vc, id, scratch);
-          }
+          ashsys.attach(dev_s, vc, id, scratch);
         }
         co_await self.sleep_for(ash::sim::us(1e6));
       });
