@@ -35,11 +35,11 @@ double throughput_mbps(std::uint32_t size) {
   w.a->kernel().spawn("source", [&, size](Process& self) -> Task {
     An2Link link(self, *w.dev_a, {});
     co_await self.sleep_for(us(1000.0));
-    const std::uint32_t buf = link.tx_alloc(size);
+    const std::uint32_t buf = link.tx_alloc_ip(size);
     fill_pattern(self.node(), buf, size, 1);
     t0 = self.node().now();
     for (int i = 0; i < kPackets; ++i) {
-      const bool sent = co_await link.send(buf, size);
+      const bool sent = co_await link.send_ip(buf, size);
       (void)sent;
     }
   });

@@ -76,7 +76,7 @@ double rtt_us(Mode mode, int competing) {
       std::uint8_t* c = self.node().mem(ctr, 4);
       c[0] = static_cast<std::uint8_t>(c[0] + 1);
       co_await self.compute(4);
-      const bool sent = co_await link.send(d.addr, d.len);
+      const bool sent = co_await link.send_ip(d.addr, d.len);
       (void)sent;
       link.release(d);
     }

@@ -69,7 +69,7 @@ double user_level_an2() {
     An2Link link(self, *w.dev_b, {});
     for (int i = 0; i < kIters; ++i) {
       const net::RxDesc d = co_await link.recv();
-      const bool sent = co_await link.send(d.addr, d.len);
+      const bool sent = co_await link.send_ip(d.addr, d.len);
       (void)sent;
       link.release(d);
     }

@@ -1,22 +1,23 @@
-// Ethernet transport binding: IP over 10 Mb/s Ethernet with DPF demux.
+// The Link over 10 Mb/s Ethernet with DPF demux (Section IV's second
+// device).
 //
 // The endpoint's DPF filter claims IPv4 frames for this process (callers
-// can narrow it, e.g. by transport port, when several endpoints share the
-// device). The kernel's default receive path has already destriped the
-// frame into one of our supplied buffers by the time recv() returns, so
-// rx_ip_offset() is simply the Ethernet header. ARP resolution is the
+// can narrow it with extra atoms, e.g. by transport port, when several
+// endpoints share the device). The kernel's default receive path has
+// already destriped the frame into one of our supplied buffers by the time
+// recv() returns, so the IP header follows the 14-byte Ethernet header
+// that send_ip() writes in front of every packet. ARP resolution is the
 // ArpService's job; this link takes a static peer MAC (the experiments
 // run host-to-host).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "dpf/dpf.hpp"
 #include "net/ethernet.hpp"
 #include "proto/link.hpp"
 #include "proto/wire.hpp"
-#include "sim/process.hpp"
 
 namespace ash::proto {
 
@@ -39,38 +40,7 @@ class EthLink final : public Link {
 
   EthLink(sim::Process& self, net::EthernetDevice& dev, const Config& config);
 
-  sim::Process& self() noexcept override { return self_; }
-  net::EthernetDevice& device() noexcept { return dev_; }
-  int endpoint() const noexcept { return endpoint_; }
-
-  sim::Sub<net::RxDesc> recv() override;
-  sim::Sub<std::optional<net::RxDesc>> recv_for(sim::Cycles timeout) override;
-  std::optional<net::RxDesc> try_recv() override {
-    return dev_.poll(endpoint_);
-  }
-  void release(const net::RxDesc& d) override;
-
-  std::uint32_t rx_ip_offset() const override {
-    return static_cast<std::uint32_t>(kEthHeaderLen);
-  }
-  std::uint32_t tx_alloc_ip(std::uint32_t len) override;
-  sim::Sub<bool> send_ip(std::uint32_t ip_addr, std::uint32_t ip_len) override;
-  std::uint32_t carve(std::uint32_t len) override;
-  std::uint32_t ip_mtu() const override {
-    return dev_.config().max_frame_bytes -
-           static_cast<std::uint32_t>(kEthHeaderLen);
-  }
-
- private:
-  sim::Process& self_;
-  net::EthernetDevice& dev_;
-  Config cfg_;
-  int endpoint_;
-  std::uint32_t pool_base_;
-  std::uint32_t tx_base_;
-  std::uint32_t tx_size_;
-  std::uint32_t tx_next_ = 0;
-  std::uint32_t carve_next_;
+  int endpoint() const noexcept { return channel(); }
 };
 
 }  // namespace ash::proto

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/memops.hpp"
 #include "sim/node.hpp"
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
@@ -97,6 +98,10 @@ void TcpConnection::Host::deliver(std::span<const std::uint8_t> bytes,
       std::memcpy(node.mem(base, len - first), bytes.data() + first,
                   len - first);
     }
+    // Not memops::store per piece: the words run on across the wrap
+    // (base + (wr + off) % cap). Two walks would restart them at the
+    // ring start, so a first piece that is not a multiple of 4 bytes
+    // would charge other addresses and sometimes one word more.
     for (std::uint32_t off = 0; !c_.cfg_.in_place && off < len; off += 4) {
       *cycles += node.cost().copy_loop_insns_per_word;
       *cycles += node.dcache().access(base + ((wr + off) % cap),

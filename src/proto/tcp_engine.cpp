@@ -32,10 +32,8 @@ class TcpEngine::FlowHost final : public TcpFlowHost {
                sim::Cycles* cycles) override {
     t_.rcvbuf.insert(t_.rcvbuf.end(), bytes.begin(), bytes.end());
     // Network-buffer-to-socket-buffer copy, charged per word.
-    const sim::CostModel& cost = link.self().node().cost();
-    for (std::size_t off = 0; off < bytes.size(); off += 4) {
-      *cycles += cost.copy_loop_insns_per_word;
-    }
+    *cycles += (bytes.size() + 3) / 4 *
+               link.self().node().cost().copy_loop_insns_per_word;
   }
   void owe() override { e_.mark_dirty(t_); }
   void send_window() override {

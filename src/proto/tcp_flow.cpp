@@ -431,15 +431,9 @@ TcpFlow::Frame TcpFlow::emit(TcpFlowHost& h, TcpFlags flags,
   sim::Cycles cycles = plen > 0 || flags.syn || flags.fin
                            ? node.cost().tcp_send_overhead
                            : node.cost().tcp_ack_overhead;
-  if (plen > 0) {
-    std::memcpy(p + kSegHdrLen, payload.data(), plen);
-    // Staging-copy cost (send buffer -> packet): loop + cache traffic.
-    for (std::uint32_t off = 0; off < plen; off += 4) {
-      cycles += node.cost().copy_loop_insns_per_word;
-      cycles += node.dcache().access(pkt + kSegHdrLen + off,
-                                     std::min(4u, plen - off), true);
-    }
-  }
+  // Stage the payload (send buffer -> packet), charged as the copy
+  // loop's stores.
+  cycles += sim::memops::store(node, pkt + kSegHdrLen, payload);
 
   TcpHeader tcp;
   tcp.src_port = key_.local_port;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/memops.hpp"
 #include "sim/node.hpp"
 #include "util/byteorder.hpp"
 

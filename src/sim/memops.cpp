@@ -122,6 +122,16 @@ Cycles fill(Node& node, std::uint32_t addr, std::uint32_t len,
               });
 }
 
+Cycles store(Node& node, std::uint32_t dst,
+             std::span<const std::uint8_t> bytes) {
+  const auto len = static_cast<std::uint32_t>(bytes.size());
+  std::uint8_t* d = node.mem(dst, len);
+  return walk(node, 0, dst, len, node.cost().copy_loop_insns_per_word,
+              false, true, [&](std::uint32_t off, std::uint32_t n) {
+                std::memcpy(d + off, bytes.data() + off, n);
+              });
+}
+
 namespace {
 
 /// Offset of byte `i` of the logical packet within a striped buffer:

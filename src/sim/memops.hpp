@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "sim/event_queue.hpp"
 
@@ -45,6 +46,11 @@ Cycles copy_cksum_bswap(Node& node, std::uint32_t dst, std::uint32_t src,
 /// half).
 Cycles fill(Node& node, std::uint32_t addr, std::uint32_t len,
             std::uint8_t value);
+
+/// Store host `bytes` into node memory at `dst`, charged as a copy loop's
+/// store half (no source reads): staging a send from host-side data.
+Cycles store(Node& node, std::uint32_t dst,
+             std::span<const std::uint8_t> bytes);
 
 /// De-striping copy for the Ethernet DMA quirk (Section III-C): the
 /// device stripes an N-byte packet into a 2N-byte buffer, alternating

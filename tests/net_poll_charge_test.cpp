@@ -227,8 +227,8 @@ TEST(PollCharge, EthernetSpinChargesEachEmptyCheckOnceAndNoDouble) {
 // ---- the links' receive path (RxPort::recv_until over poll_idle) ----
 //
 // The same four receives, once through the contract-following hand loop
-// above and once through An2Link::recv / EthLink::recv, which charge
-// empty checks with Process::poll_idle instead of one compute() each:
+// above and once through Link::recv on an An2Link and an EthLink, which
+// charges empty checks with Process::poll_idle instead of one compute() each:
 // the hit time, the empty-check count and the completion time must all
 // match.
 

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
+#include "proto/an2_link.hpp"
 #include "proto/tcp.hpp"
 #include "proto/udp.hpp"
 #include "sim/kernel.hpp"
@@ -214,6 +217,239 @@ TEST(EthLink, DpfDemuxesTwoEndpointsByPort) {
   w.sim.run(us(3e6));
   EXPECT_EQ(got_53, 1);
   EXPECT_EQ(got_80, 1);
+}
+
+// ---- The link contract, on both devices ----
+
+/// Two nodes joined by either device, with a Link factory for each side.
+struct LinkWorld {
+  explicit LinkWorld(bool ethernet) : eth(ethernet) {
+    a = &sim.add_node("a");
+    b = &sim.add_node("b");
+    if (eth) {
+      eth_a = std::make_unique<net::EthernetDevice>(*a);
+      eth_b = std::make_unique<net::EthernetDevice>(*b);
+      eth_a->connect(*eth_b);
+    } else {
+      an2_a = std::make_unique<net::An2Device>(*a);
+      an2_b = std::make_unique<net::An2Device>(*b);
+      an2_a->connect(*an2_b);
+    }
+  }
+
+  std::unique_ptr<Link> link(Process& self, bool side_a,
+                             std::uint32_t rx_buffers = 16,
+                             std::uint32_t buf_size = 1536) {
+    if (eth) {
+      EthLink::Config c = side_a ? EthLink::Config{kMacA, kMacB}
+                                 : EthLink::Config{kMacB, kMacA};
+      c.rx_buffers = rx_buffers;
+      c.buf_size = buf_size;
+      return std::make_unique<EthLink>(self, side_a ? *eth_a : *eth_b, c);
+    }
+    An2Link::Config c;
+    c.rx_buffers = rx_buffers;
+    c.buf_size = buf_size;
+    return std::make_unique<An2Link>(self, side_a ? *an2_a : *an2_b, c);
+  }
+  net::RxPort& port_b() {
+    return eth ? static_cast<net::RxPort&>(*eth_b) : *an2_b;
+  }
+  /// Bind the next channel on b's device directly.
+  int bind_b(Process& self) {
+    if (!eth) return an2_b->bind_vc(self);
+    dpf::Filter f;
+    f.atoms.push_back(dpf::atom_be16(12, kEtherTypeIp));
+    return eth_b->attach(self, std::move(f));
+  }
+  /// The link header b's peer writes in front of each IP packet.
+  std::vector<std::uint8_t> header_to_b() const {
+    if (!eth) return {};
+    std::vector<std::uint8_t> h(kMacB.bytes.begin(), kMacB.bytes.end());
+    h.insert(h.end(), kMacA.bytes.begin(), kMacA.bytes.end());
+    h.insert(h.end(), {0x08, 0x00});
+    return h;
+  }
+
+  bool eth;
+  Simulator sim;
+  Node* a;
+  Node* b;
+  std::unique_ptr<net::An2Device> an2_a, an2_b;
+  std::unique_ptr<net::EthernetDevice> eth_a, eth_b;
+};
+
+std::uint32_t midpoint(Process& self) {
+  return self.segment().base + self.segment().size / 2;
+}
+
+/// Stage `ip_len` bytes of pattern and send them as one IP packet.
+sim::Sub<bool> send_pattern(Link& link, std::uint32_t ip_len) {
+  const std::uint32_t ip = link.tx_alloc_ip(ip_len);
+  std::uint8_t* p = link.self().node().mem(ip, ip_len);
+  for (std::uint32_t i = 0; i < ip_len; ++i) {
+    p[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const bool sent = co_await link.send_ip(ip, ip_len);
+  co_return sent;
+}
+
+TEST(Link, PoolRingAndCarveFollowTheSegmentMidpoint) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool got = false;
+    w.b->kernel().spawn("rx", [&](Process& self) -> Task {
+      // 3 x 1000 bytes: the ring starts off the 16-byte grid.
+      auto link = w.link(self, false, 3, 1000);
+      const std::uint32_t mid = midpoint(self);
+      const std::uint32_t ring = mid + 3 * 1000;
+      EXPECT_EQ(link->tx_alloc_ip(8), ring + link->rx_ip_offset());
+      EXPECT_EQ(link->carve(1), (ring + 64 * 1024 + 15) & ~15u);
+      const net::RxDesc d = co_await link->recv();
+      EXPECT_EQ(d.addr, mid);
+      got = true;
+    });
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true);
+      co_await self.sleep_for(us(500.0));
+      const bool sent = co_await send_pattern(*link, 20);
+      EXPECT_TRUE(sent);
+    });
+    w.sim.run(us(1e5));
+    EXPECT_TRUE(got);
+  }
+}
+
+TEST(Link, ReleaseOfAnInnerPointerReturnsTheWholeSlot) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool got_full = false;
+    w.b->kernel().spawn("rx", [&](Process& self) -> Task {
+      auto link = w.link(self, false, 1, 1536);
+      const net::RxDesc d = co_await link->recv();
+      EXPECT_EQ(w.port_b().free_buffers(0), 0u);
+      link->release({d.addr + 7, 1});
+      EXPECT_EQ(w.port_b().free_buffers(0), 1u);
+      // A full-MTU frame only fits if the slot came back whole.
+      const auto full = co_await link->recv_for(us(1e4));
+      if (full) {
+        EXPECT_EQ(full->addr, midpoint(self));
+        EXPECT_EQ(full->len, link->rx_ip_offset() + link->ip_mtu());
+        got_full = true;
+      }
+    });
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true);
+      co_await self.sleep_for(us(500.0));
+      bool sent = co_await send_pattern(*link, 20);
+      EXPECT_TRUE(sent);
+      co_await self.sleep_for(us(2000.0));
+      sent = co_await send_pattern(*link, link->ip_mtu());
+      EXPECT_TRUE(sent);
+    });
+    w.sim.run(us(1e5));
+    EXPECT_TRUE(got_full);
+  }
+}
+
+TEST(Link, TransmitRingWrapsToItsStart) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool ran = false;
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true);
+      const std::uint32_t hdr = link->rx_ip_offset();
+      const std::uint32_t first = link->tx_alloc_ip(30000);
+      EXPECT_EQ(link->tx_alloc_ip(30000),
+                first + ((hdr + 30000 + 3) & ~3u));
+      EXPECT_EQ(link->tx_alloc_ip(30000), first);  // 3 x 30000 > 64 KB
+      ran = true;
+      co_return;
+    });
+    w.sim.run(us(1e4));
+    EXPECT_TRUE(ran);
+  }
+}
+
+TEST(Link, OversizeRingAllocationAndCarveThrow) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool ran = false;
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true);
+      EXPECT_THROW(link->tx_alloc_ip(64 * 1024 + 1), std::length_error);
+      EXPECT_THROW(link->carve(self.segment().size / 2), std::length_error);
+      ran = true;
+      co_return;
+    });
+    w.sim.run(us(1e4));
+    EXPECT_TRUE(ran);
+  }
+}
+
+TEST(Link, PoolThatDoesNotFitThrowsBeforeBindingAChannel) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool ran = false;
+    w.b->kernel().spawn("rx", [&](Process& self) -> Task {
+      const std::uint32_t too_many = self.segment().size / 2 / 1536 + 1;
+      EXPECT_THROW(w.link(self, false, too_many, 1536), std::length_error);
+      EXPECT_EQ(w.bind_b(self), 0);
+      ran = true;
+      co_return;
+    });
+    w.sim.run(us(1e4));
+    EXPECT_TRUE(ran);
+  }
+}
+
+TEST(Link, FramingOffsetAndMtuPerDevice) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    bool ran = false;
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true, 16, 2048);
+      EXPECT_EQ(link->rx_ip_offset(), eth ? 14u : 0u);
+      EXPECT_EQ(link->ip_mtu(), eth ? 1504u : 2048u);
+      ran = true;
+      co_return;
+    });
+    w.sim.run(us(1e4));
+    EXPECT_TRUE(ran);
+  }
+}
+
+TEST(Link, PeerReceivesTheLinkHeaderThenThePacket) {
+  for (const bool eth : {false, true}) {
+    SCOPED_TRACE(eth ? "Ethernet" : "AN2");
+    LinkWorld w(eth);
+    std::vector<std::uint8_t> frame;
+    w.b->kernel().spawn("rx", [&](Process& self) -> Task {
+      auto link = w.link(self, false);
+      const net::RxDesc d = co_await link->recv();
+      const std::uint8_t* p = self.node().mem(d.addr, d.len);
+      frame.assign(p, p + d.len);
+      link->release(d);
+    });
+    w.a->kernel().spawn("tx", [&](Process& self) -> Task {
+      auto link = w.link(self, true);
+      co_await self.sleep_for(us(500.0));
+      const bool sent = co_await send_pattern(*link, 64);
+      EXPECT_TRUE(sent);
+    });
+    w.sim.run(us(1e5));
+    std::vector<std::uint8_t> want = w.header_to_b();
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      want.push_back(static_cast<std::uint8_t>(i * 7 + 1));
+    }
+    EXPECT_EQ(frame, want);
+  }
 }
 
 }  // namespace

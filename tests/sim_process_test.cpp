@@ -404,5 +404,36 @@ TEST(MemOps, OutOfBoundsThrows) {
   EXPECT_THROW(memops::cksum(node, size - 4, 64, &acc), std::out_of_range);
 }
 
+TEST(MemOps, StoreWritesBytesAndChargesTheStoreHalfOnly) {
+  Simulator sim;
+  Node& node = sim.add_node("n0", quiet_config());
+  const std::uint8_t bytes[9] = {9, 8, 7, 6, 5, 4, 3, 2, 1};
+  std::uint32_t dst = 0x1000;
+  for (const std::uint32_t skew : {0u, 1u, 3u}) {  // aligned, unaligned
+    for (std::uint32_t len = 0; len <= 9; ++len, dst += 64) {
+      SCOPED_TRACE(testing::Message() << "skew " << skew << " len " << len);
+      node.dcache().flush_all();
+      const Cycles c = memops::store(node, dst + skew, {bytes, len});
+      // Default write cost: a store neither stalls nor fills a line.
+      EXPECT_EQ(c, node.cost().copy_loop_insns_per_word * ((len + 3) / 4));
+      const std::uint8_t* p = node.mem(dst, 16);
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        const bool inside = i >= skew && i < skew + len;
+        EXPECT_EQ(p[i], inside ? bytes[i - skew] : 0) << "byte " << i;
+        EXPECT_FALSE(node.dcache().contains(dst + i));
+      }
+    }
+  }
+}
+
+TEST(MemOps, StoreToUnmappedDestinationThrows) {
+  Simulator sim;
+  Node& node = sim.add_node("n0", quiet_config());
+  const std::uint8_t bytes[8] = {};
+  const auto size = static_cast<std::uint32_t>(node.memory_size());
+  EXPECT_THROW(memops::store(node, size - 4, bytes), std::out_of_range);
+  EXPECT_THROW(memops::store(node, size, {bytes, 1}), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace ash::sim
