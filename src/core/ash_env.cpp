@@ -1,6 +1,5 @@
 #include "core/ash_env.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "core/ash.hpp"
@@ -69,18 +68,14 @@ bool AshEnv::fast_mem(vcode::Env::FastMem* out) {
       clamp(static_cast<std::uint64_t>(cfg_.msg_addr) + cfg_.msg_len);
   // With a plain (unstriped) layout, mem_cycles is exactly one
   // dcache().access() per access, so the engine may inline the model.
-  // Offered only for power-of-two geometry (shift/mask indexing).
   const sim::Cache::Raw raw = cfg_.node->dcache().raw();
-  const auto pow2 = [](std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; };
-  if (pow2(raw.line_bytes) && pow2(raw.n_lines)) {
-    out->dtags = raw.tags;
-    out->dline_shift = static_cast<std::uint32_t>(std::countr_zero(raw.line_bytes));
-    out->dline_mask = raw.n_lines - 1;
-    out->dread_miss_penalty = raw.read_miss_penalty;
-    out->dwrite_cost = raw.write_cost;
-    out->dhits = raw.hits;
-    out->dmisses = raw.misses;
-  }
+  out->dtags = raw.tags;
+  out->dline_shift = raw.line_shift;
+  out->dline_mask = raw.index_mask;
+  out->dread_miss_penalty = raw.read_miss_penalty;
+  out->dwrite_cost = raw.write_cost;
+  out->dhits = raw.hits;
+  out->dmisses = raw.misses;
   return out->mem != nullptr;
 }
 

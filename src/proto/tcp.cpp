@@ -98,14 +98,11 @@ void TcpConnection::Host::deliver(std::span<const std::uint8_t> bytes,
       std::memcpy(node.mem(base, len - first), bytes.data() + first,
                   len - first);
     }
-    // Not memops::store per piece: the words run on across the wrap
-    // (base + (wr + off) % cap). Two walks would restart them at the
-    // ring start, so a first piece that is not a multiple of 4 bytes
-    // would charge other addresses and sometimes one word more.
-    for (std::uint32_t off = 0; !c_.cfg_.in_place && off < len; off += 4) {
-      *cycles += node.cost().copy_loop_insns_per_word;
-      *cycles += node.dcache().access(base + ((wr + off) % cap),
-                                      std::min(4u, len - off), true);
+    if (!c_.cfg_.in_place) {
+      // One store loop over the ring, its words running on across the
+      // wrap.
+      *cycles += node.cost().copy_loop_insns_per_word * ((len + 3) / 4);
+      *cycles += node.dcache().stream_ring(base, cap, wr, len, true);
     }
   } else {
     // `bytes` point into the rx buffer in sim memory: charge the copy.

@@ -28,6 +28,9 @@ struct CacheConfig {
 
 class Cache {
  public:
+  /// Throws std::invalid_argument unless `line_bytes` and `size_bytes` are
+  /// powers of two and `size_bytes >= line_bytes`: the line count is then
+  /// a power of two too, so a shift and a mask index the tags.
   explicit Cache(const CacheConfig& config = {});
 
   /// Account one access of `len` bytes at `addr`; returns the extra cycles
@@ -35,6 +38,30 @@ class Cache {
   /// write-through/no-allocate (they update an already-present line but
   /// do not fetch absent ones).
   Cycles access(std::uint32_t addr, std::uint32_t len, bool is_write);
+
+  /// Account a run of word accesses in one call. Exactly equal, in
+  /// cycles, hits, misses and tags, to
+  ///
+  ///   for (off = 0; off < len; off += 4)
+  ///     access(addr + off, min(4, len - off), is_write);
+  ///
+  /// but walked a line at a time: a read run's first word on a line tests
+  /// the tag (filling it on a miss) and the line's other words hit; every
+  /// word of a write run sees the same tag, since writes never fill. A
+  /// word that straddles two lines counts once on each.
+  Cycles stream(std::uint32_t addr, std::uint32_t len, bool is_write);
+
+  /// stream() over the ring [base, base + cap) from offset `at` (< cap),
+  /// for `len` <= cap bytes whose words run on across the wrap: word
+  /// `off` is charged at base + (at + off) % cap, so a word that starts
+  /// before `cap` is charged there in full.
+  Cycles stream_ring(std::uint32_t base, std::uint32_t cap, std::uint32_t at,
+                     std::uint32_t len, bool is_write);
+
+  /// True if some line of [a, a+alen) and some line of [b, b+blen) map to
+  /// the same tag slot (both lengths nonzero).
+  bool shares_slots(std::uint32_t a, std::uint32_t alen, std::uint32_t b,
+                    std::uint32_t blen) const;
 
   /// True if the line containing `addr` is resident.
   bool contains(std::uint32_t addr) const;
@@ -57,33 +84,30 @@ class Cache {
 
   /// Raw view of the model's state for engines that inline the access
   /// accounting (vcode::Env::FastMem). Any inlined copy must reproduce
-  /// access() exactly: read miss = penalty + tag fill; write = write_cost,
-  /// hit or miss, never a fill; counters bumped per line touched.
+  /// access() exactly: line = addr >> line_shift, tag slot = line &
+  /// index_mask, tag value = line + 1 (0 = invalid); read miss = penalty
+  /// + tag fill; write = write_cost, hit or miss, never a fill; counters
+  /// bumped per line touched. The tag array holds index_mask + 1 slots.
   struct Raw {
     std::uint32_t* tags;
-    std::uint32_t n_lines;
-    std::uint32_t line_bytes;
+    std::uint32_t line_shift;  // log2(line_bytes)
+    std::uint32_t index_mask;  // line count - 1
     Cycles read_miss_penalty;
     Cycles write_cost;
     std::uint64_t* hits;
     std::uint64_t* misses;
   };
   Raw raw() noexcept {
-    return {tags_.data(),          n_lines_, config_.line_bytes,
-            config_.read_miss_penalty, config_.write_cost,
-            &hits_,                &misses_};
+    return {tags_.data(),          shift_,
+            index_mask_,           config_.read_miss_penalty,
+            config_.write_cost,    &hits_,
+            &misses_};
   }
 
  private:
-  std::uint32_t line_index(std::uint32_t addr) const noexcept {
-    return (addr / config_.line_bytes) % n_lines_;
-  }
-  std::uint32_t line_tag(std::uint32_t addr) const noexcept {
-    return addr / config_.line_bytes;
-  }
-
   CacheConfig config_;
-  std::uint32_t n_lines_;
+  std::uint32_t shift_;       // log2(line_bytes)
+  std::uint32_t index_mask_;  // line count - 1
   std::vector<std::uint32_t> tags_;  // tag+1; 0 = invalid
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -8,8 +8,14 @@
 // separate-vs-integrated throughput shapes of Tables III/IV emerge from
 // exactly this accounting.
 //
-// Lengths are handled per 32-bit word with a byte-serial tail, matching
-// the hand loops the costs describe.
+// The charge is per 32-bit word with a byte-serial tail, exactly as the
+// hand loops the costs describe: per word, one instruction count, one
+// cache access for the word read and then one for the word written. The
+// work runs per line and per range: Cache::stream charges a line at a
+// time (one call per side, or per source line where source and
+// destination share cache slots), and the bytes move in one memmove or
+// one tight word loop over the whole range, with the word loop's result
+// even where source and destination overlap.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +64,6 @@ Cycles store(Node& node, std::uint32_t dst,
 /// touch a 2N cache footprint; cost accounting reflects that.
 Cycles copy_destripe(Node& node, std::uint32_t dst, std::uint32_t src_striped,
                      std::uint32_t len, std::uint32_t chunk = 16);
-
-/// De-striping copy + checksum in one traversal (used by the Ethernet
-/// receive path when end-to-end checksumming is on).
-Cycles copy_destripe_cksum(Node& node, std::uint32_t dst,
-                           std::uint32_t src_striped, std::uint32_t len,
-                           std::uint32_t* acc, std::uint32_t chunk = 16);
 
 /// Striping store: write `len` bytes from `src` into a 2*len striped
 /// region at `dst_striped` (models the device's view; used by tests).

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -274,6 +275,21 @@ TEST(Cache, InvalidateHugeRangeFlushes) {
   cache.invalidate_range(0, 1u << 20);
   EXPECT_FALSE(cache.contains(0));
   EXPECT_FALSE(cache.contains(240));
+}
+
+TEST(Cache, RejectsBadGeometry) {
+  const auto make = [](std::uint32_t size, std::uint32_t line) {
+    return Cache({.size_bytes = size, .line_bytes = line});
+  };
+  EXPECT_THROW(make(1024, 0), std::invalid_argument);    // zero line size
+  EXPECT_THROW(make(0, 16), std::invalid_argument);      // zero lines
+  EXPECT_THROW(make(8, 16), std::invalid_argument);      // under one line
+  EXPECT_THROW(make(1024, 12), std::invalid_argument);   // line not 2^k
+  EXPECT_THROW(make(1000, 8), std::invalid_argument);    // 125 lines
+  EXPECT_THROW(make(1032, 16), std::invalid_argument);   // truncated count
+  EXPECT_THROW(make(3 * 1024, 16), std::invalid_argument);  // 192 lines
+  EXPECT_NO_THROW(make(16, 16));                         // one line
+  EXPECT_NO_THROW(make(64 * 1024, 64));
 }
 
 TEST(TimeConversion, CyclesAndMicroseconds) {
