@@ -233,14 +233,22 @@ bool AshEnv::t_msgload(std::uint32_t offset, std::uint32_t* value,
   if (static_cast<std::uint64_t>(offset) + 4 > cfg_.msg_len) {
     return true;  // out of bounds reads as zero (documented contract)
   }
-  std::uint8_t bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    const std::uint8_t* p =
-        cfg_.node->mem(msg_phys(offset + static_cast<std::uint32_t>(i)), 1);
+  const std::uint32_t c = cfg_.stripe_chunk;
+  if (c == 0 || offset % c + 4 <= c) {
+    // The word's bytes are physically contiguous: one read.
+    const std::uint8_t* p = cfg_.node->mem(msg_phys(offset), 4);
     if (p == nullptr) return false;
-    bytes[i] = *p;
+    std::memcpy(value, p, 4);
+  } else {
+    // It straddles a stripe chunk edge: gather the logical bytes.
+    std::uint8_t bytes[4];
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      const std::uint8_t* p = cfg_.node->mem(msg_phys(offset + i), 1);
+      if (p == nullptr) return false;
+      bytes[i] = *p;
+    }
+    std::memcpy(value, bytes, 4);
   }
-  std::memcpy(value, bytes, 4);
   *cycles += cfg_.node->dcache().access(msg_phys(offset), 4, false);
   return true;
 }

@@ -16,6 +16,12 @@ const char* to_string(TenantDeny d) noexcept {
   return "?";
 }
 
+namespace {
+// pids past this stay out of the index (a hand-made Process may carry
+// any pid; kernel pids count up from 1).
+constexpr std::uint32_t kIndexedPids = 1u << 16;
+}  // namespace
+
 TenantScheduler::TenantScheduler(sim::Node& node,
                                  const TenantSchedulerConfig& cfg)
     : node_(node), cfg_(cfg) {
@@ -25,10 +31,16 @@ TenantScheduler::TenantScheduler(sim::Node& node,
 }
 
 TenantAccount& TenantScheduler::account(const sim::Process& owner) {
-  auto [it, inserted] = accounts_.try_emplace(owner.pid());
+  const std::uint32_t pid = owner.pid();
+  if (pid < by_pid_.size() && by_pid_[pid] != nullptr) return *by_pid_[pid];
+  auto [it, inserted] = accounts_.try_emplace(pid);
   TenantAccount& acct = it->second;
+  if (pid < kIndexedPids) {
+    if (pid >= by_pid_.size()) by_pid_.resize(pid + 1, nullptr);
+    by_pid_[pid] = &acct;
+  }
   if (inserted) {
-    acct.pid = owner.pid();
+    acct.pid = pid;
     acct.name = owner.name();
     acct.weight = cfg_.default_weight;
     // A new account starts with one full round banked so a tenant's very
@@ -42,6 +54,7 @@ TenantAccount& TenantScheduler::account(const sim::Process& owner) {
 
 const TenantAccount* TenantScheduler::find_account(
     std::uint32_t pid) const noexcept {
+  if (pid < by_pid_.size()) return by_pid_[pid];
   const auto it = accounts_.find(pid);
   return it == accounts_.end() ? nullptr : &it->second;
 }

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "net/rx_queue.hpp"
 #include "sim/node.hpp"
@@ -135,6 +136,8 @@ class TenantScheduler : public net::RxQuota {
  public:
   explicit TenantScheduler(sim::Node& node,
                            const TenantSchedulerConfig& cfg = {});
+  TenantScheduler(const TenantScheduler&) = delete;  // by_pid_ points in
+  TenantScheduler& operator=(const TenantScheduler&) = delete;
 
   const TenantSchedulerConfig& config() const noexcept { return cfg_; }
 
@@ -202,6 +205,9 @@ class TenantScheduler : public net::RxQuota {
   TenantSchedulerConfig cfg_;
   // Ordered by pid so reports and iteration are deterministic.
   std::map<std::uint32_t, TenantAccount> accounts_;
+  // The same accounts indexed by pid (dense per node; map nodes never
+  // move), so the per-message lookups skip the tree walk.
+  std::vector<TenantAccount*> by_pid_;
 };
 
 }  // namespace ash::core

@@ -148,14 +148,31 @@ std::uint32_t pseudo_header_sum(Ipv4Addr src, Ipv4Addr dst,
   return acc;
 }
 
+namespace {
+
+/// The field value for a finished pseudo-header + segment sum.
+std::uint16_t checksum_field(std::uint32_t acc) {
+  const std::uint16_t ck = static_cast<std::uint16_t>(~util::fold16(acc));
+  return ck == 0 ? 0xffff : ck;  // 0 is reserved for "no checksum" (UDP)
+}
+
+/// Pseudo-header plus a little-endian word sum of the segment.
+std::uint32_t le_segment_sum(Ipv4Addr src, Ipv4Addr dst,
+                             std::uint8_t protocol, std::uint16_t segment_len,
+                             std::uint32_t le_word_sum) {
+  return util::cksum32_accumulate(
+      pseudo_header_sum(src, dst, protocol, segment_len),
+      util::fold16_le_word_sum(le_word_sum));
+}
+
+}  // namespace
+
 std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
                                  std::uint8_t protocol,
                                  std::span<const std::uint8_t> segment) {
-  std::uint32_t acc = pseudo_header_sum(
+  const std::uint32_t acc = pseudo_header_sum(
       src, dst, protocol, static_cast<std::uint16_t>(segment.size()));
-  acc = util::cksum_partial(segment, acc);
-  const std::uint16_t ck = static_cast<std::uint16_t>(~util::fold16(acc));
-  return ck == 0 ? 0xffff : ck;  // 0 is reserved for "no checksum" (UDP)
+  return checksum_field(util::cksum_partial(segment, acc));
 }
 
 bool transport_checksum_ok(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
@@ -163,6 +180,22 @@ bool transport_checksum_ok(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
   const std::uint32_t acc = pseudo_header_sum(
       src, dst, protocol, static_cast<std::uint16_t>(segment.size()));
   return util::fold16(util::cksum_partial(segment, acc)) == 0xffff;
+}
+
+std::uint16_t transport_checksum_le(Ipv4Addr src, Ipv4Addr dst,
+                                    std::uint8_t protocol,
+                                    std::uint16_t segment_len,
+                                    std::uint32_t le_word_sum) {
+  return checksum_field(
+      le_segment_sum(src, dst, protocol, segment_len, le_word_sum));
+}
+
+bool transport_checksum_ok_le(Ipv4Addr src, Ipv4Addr dst,
+                              std::uint8_t protocol,
+                              std::uint16_t segment_len,
+                              std::uint32_t le_word_sum) {
+  return util::fold16(le_segment_sum(src, dst, protocol, segment_len,
+                                     le_word_sum)) == 0xffff;
 }
 
 // ---------------------------------------------------------------- TCP

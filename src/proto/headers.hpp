@@ -93,6 +93,19 @@ std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
 bool transport_checksum_ok(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
                            std::span<const std::uint8_t> segment);
 
+/// The same two from a `segment_len`-byte segment already summed as
+/// little-endian 32-bit words (memops::cksum's accumulator, a short tail
+/// zero-padded), so a charged checksum pass needs no second host pass
+/// over the bytes.
+std::uint16_t transport_checksum_le(Ipv4Addr src, Ipv4Addr dst,
+                                    std::uint8_t protocol,
+                                    std::uint16_t segment_len,
+                                    std::uint32_t le_word_sum);
+bool transport_checksum_ok_le(Ipv4Addr src, Ipv4Addr dst,
+                              std::uint8_t protocol,
+                              std::uint16_t segment_len,
+                              std::uint32_t le_word_sum);
+
 // ---------------------------------------------------------------- TCP
 
 struct TcpFlags {

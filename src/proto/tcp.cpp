@@ -216,13 +216,14 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
                                     : node.cost().tcp_slowpath_overhead);
 
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t acc = 0;
     const sim::Cycles ck =
         node.cost().udp_cksum_setup +
         sim::memops::cksum(node, d.addr + ip_off + kIpHeaderLen, seg_len,
-                           &dummy);
+                           &acc);
     co_await link_.self().compute(ck);
-    if (!transport_checksum_ok(ip->src, ip->dst, kIpProtoTcp, seg)) {
+    if (!transport_checksum_ok_le(ip->src, ip->dst, kIpProtoTcp,
+                                  static_cast<std::uint16_t>(seg_len), acc)) {
       ++stats_.cksum_failures;
       link_.release(d);
       co_return;

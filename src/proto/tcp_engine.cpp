@@ -295,11 +295,12 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
 
   *cycles += node.cost().tcp_slowpath_overhead;
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t acc = 0;
     *cycles += node.cost().udp_cksum_setup;
     *cycles += sim::memops::cksum(node, d.addr + ip_off + kIpHeaderLen,
-                                  seg_len, &dummy);
-    if (!transport_checksum_ok(ip->src, ip->dst, kIpProtoTcp, seg)) {
+                                  seg_len, &acc);
+    if (!transport_checksum_ok_le(ip->src, ip->dst, kIpProtoTcp,
+                                  static_cast<std::uint16_t>(seg_len), acc)) {
       ++stats_.cksum_failures;
       return;
     }

@@ -443,14 +443,19 @@ TcpFlow::Frame TcpFlow::emit(TcpFlowHost& h, TcpFlags flags,
   tcp.flags = flags;
   tcp.window = window_field(h);
   last_adv_wnd_ = h.rcv_space();
-  if (h.params.checksum) {
-    std::uint32_t dummy = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &dummy);
-  }
   seal(p, tcp, plen, h.local_ip, key_.remote_ip, next_ident_++,
-       h.params.checksum);
+       /*checksum=*/false);
+  if (h.params.checksum) {
+    // One charged pass over header and payload yields the field.
+    std::uint32_t acc = 0;
+    const std::uint32_t seg_len = kTcpHeaderLen + plen;
+    cycles += node.cost().udp_cksum_setup;
+    cycles += sim::memops::cksum(node, pkt + kIpHeaderLen, seg_len, &acc);
+    tcp.checksum = transport_checksum_le(
+        h.local_ip, key_.remote_ip, kIpProtoTcp,
+        static_cast<std::uint16_t>(seg_len), acc);
+    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
+  }
 
   const std::uint32_t consumed = plen + ((flags.syn || flags.fin) ? 1 : 0);
   snd_nxt_ = seq + consumed;

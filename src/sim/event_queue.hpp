@@ -5,10 +5,11 @@
 // microseconds for reporting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
 #include <vector>
+
+#include "sim/event_fn.hpp"
 
 namespace ash::sim {
 
@@ -30,7 +31,6 @@ constexpr Cycles us(double microseconds) noexcept {
 /// "No deadline" for the waits and polls that take one.
 inline constexpr Cycles kNever = ~Cycles{0};
 
-using EventFn = std::function<void()>;
 using EventId = std::uint64_t;
 
 /// Cancellation is tombstone-based but bounded: cancelling an id that is
@@ -39,6 +39,13 @@ using EventId = std::uint64_t;
 /// compacted in one pass. Workloads that re-arm and cancel timers
 /// indefinitely (TCP retransmit timers) therefore hold memory proportional
 /// to the live event count, not to history.
+///
+/// Scheduling and firing allocate nothing once the queue has seen its
+/// peak population: a binary heap of 32-byte keys orders the events, each
+/// key names a slot in a reused table that holds the callback (an EventFn,
+/// inline) and the cancelled flag, and cancel() finds an id's slot
+/// through an open-addressed index. An id is live at most once at a time;
+/// a cancelled resumption's reserved id may be scheduled again.
 class EventQueue {
  public:
   Cycles now() const noexcept { return now_; }
@@ -77,12 +84,12 @@ class EventQueue {
   /// Returns the number of events executed.
   std::size_t run_until_idle(Cycles limit = ~Cycles{0});
 
-  bool empty() const noexcept { return live_.empty(); }
-  std::size_t pending() const noexcept { return live_.size(); }
+  bool empty() const noexcept { return live_ == 0; }
+  std::size_t pending() const noexcept { return live_; }
 
   /// Cancelled entries still parked in the heap. Bounded by pending() via
   /// compaction; exposed so tests can pin the no-leak invariant.
-  std::size_t cancelled_backlog() const noexcept { return cancelled_.size(); }
+  std::size_t cancelled_backlog() const noexcept { return cancelled_; }
 
   /// Time of the next live event, or ~0 when the queue is empty. Discards
   /// cancelled entries encountered at the head.
@@ -108,30 +115,71 @@ class EventQueue {
   }
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Heap entry: the ordering key and the slot holding the callback.
   struct Ev {
     Cycles at;
     Cycles sched;
     EventId id;
+    std::uint32_t slot;
     bool resumption;
-    EventFn fn;
   };
+  static_assert(sizeof(Ev) == 32, "heap sifts move 32-byte keys");
   struct Later {
     bool operator()(const Ev& a, const Ev& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.sched != b.sched ? a.sched > b.sched : a.id > b.id;
     }
   };
+  /// A callback's home from schedule until it fires or its cancelled
+  /// entry leaves the heap; free slots chain through `next_free`.
+  struct Slot {
+    EventFn fn;
+    std::uint32_t next_free = kNoSlot;
+    bool cancelled = false;
+  };
 
-  void push(Cycles at, Cycles sched, EventId id, bool resumption, EventFn fn);
+  /// Live id -> slot, open-addressed: linear probing from a Fibonacci
+  /// hash, backward-shift deletion, doubled at half load and never
+  /// shrunk.
+  class IdIndex {
+   public:
+    void insert(EventId id, std::uint32_t slot);
+    /// Remove `id` and return its slot, or kNoSlot if it is not live.
+    std::uint32_t take(EventId id) noexcept;
+
+   private:
+    struct Entry {
+      EventId id = 0;
+      std::uint32_t slot = kNoSlot;  // kNoSlot: empty
+    };
+    std::size_t home(EventId id) const noexcept {
+      return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void grow();
+
+    std::vector<Entry> table_;
+    std::size_t size_ = 0;
+    unsigned shift_ = 64;
+  };
+
+  void push(Cycles at, Cycles sched, EventId id, bool resumption,
+            EventFn&& fn);
+  std::uint32_t alloc_slot(EventFn&& fn);
+  void free_slot(std::uint32_t s) noexcept;
 
   /// Drop every tombstoned entry from the heap in one O(n) pass.
   void compact();
 
   Cycles now_ = 0;
   EventId next_id_ = 1;
-  std::vector<Ev> heap_;                   // binary heap ordered by Later
-  std::unordered_set<EventId> live_;       // scheduled, not fired/cancelled
-  std::unordered_set<EventId> cancelled_;  // tombstones still in heap_
+  std::vector<Ev> heap_;  // binary heap ordered by Later
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNoSlot;  // head of the free-slot chain
+  IdIndex ids_;
+  std::size_t live_ = 0;       // scheduled, not fired or cancelled
+  std::size_t cancelled_ = 0;  // tombstones still in heap_
 };
 
 }  // namespace ash::sim

@@ -410,6 +410,48 @@ TEST(AshSystem, InvalidIdFallsBackInsteadOfThrowing) {
   EXPECT_EQ(w.ash_b->handler_count(), 0u);
 }
 
+// t_msgload reads a word whose bytes are physically contiguous in one
+// access and gathers a word that straddles a stripe chunk edge byte by
+// byte; either way the handler sees the message's logical bytes, and the
+// cache charge is the word's one access.
+TEST(AshEnv, MsgLoadReadsLogicalWordsAcrossStripeChunkEdges) {
+  for (const std::uint32_t stripe : {0u, 16u}) {
+    Simulator s;
+    Node& node = s.add_node("n");
+    AshEnv::Config ec;
+    ec.node = &node;
+    ec.owner_seg = {0x100000, 0x10000};
+    ec.msg_addr = 0x108000;
+    ec.msg_len = 64;
+    ec.stripe_chunk = stripe;
+    // Lay the logical bytes out as the device would, padding included.
+    std::array<std::uint8_t, 64> logical{};
+    std::memset(node.mem(ec.msg_addr, 128), 0xEE, 128);
+    for (std::uint32_t i = 0; i < logical.size(); ++i) {
+      logical[i] = static_cast<std::uint8_t>(0xA0 ^ (i * 7));
+      const std::uint32_t phys =
+          stripe == 0 ? ec.msg_addr + i
+                      : ec.msg_addr + (i / stripe) * 2 * stripe + i % stripe;
+      *node.mem(phys, 1) = logical[i];
+    }
+    AshEnv env(ec);
+    for (std::uint32_t off = 0; off + 4 <= logical.size(); ++off) {
+      std::uint32_t v = 0;
+      std::uint64_t cycles = 0;
+      ASSERT_TRUE(env.t_msgload(off, &v, &cycles));
+      std::uint32_t want = 0;
+      std::memcpy(&want, &logical[off], 4);
+      EXPECT_EQ(v, want) << "stripe " << stripe << " offset " << off;
+      EXPECT_GE(cycles, 1u);
+    }
+    // Past the end reads as zero.
+    std::uint32_t v = 1;
+    std::uint64_t cycles = 0;
+    EXPECT_TRUE(env.t_msgload(61, &v, &cycles));
+    EXPECT_EQ(v, 0u);
+  }
+}
+
 // A TSend length is handler-controlled and the default verify policy does
 // not bound it: the kernel must range-check it before sizing the reply
 // snapshot, or a 4 GiB length makes it zero-fill 4 GiB on every call.

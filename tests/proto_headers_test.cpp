@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "sim/memops.hpp"
+#include "sim/simulator.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
@@ -169,6 +172,40 @@ TEST(Headers, TransportChecksumVerifies) {
       b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
     EXPECT_EQ(accepted, 0) << "protocol " << int{proto};
+  }
+
+  // The field and the check from a charged pass's little-endian word sum
+  // (memops::cksum over node memory) equal the byte-sum ones at every
+  // segment length, odd lengths and a zero-padded tail included.
+  sim::Simulator sim;
+  sim::Node& node = sim.add_node("n");
+  constexpr std::uint32_t kAt = 0x1000;
+  for (std::uint32_t len = 0; len <= 1500; ++len) {
+    std::vector<std::uint8_t> b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    if (len >= kTcpHeaderLen) b[16] = b[17] = 0;
+    const Ipv4Addr s = Ipv4Addr{static_cast<std::uint32_t>(rng.next())};
+    const Ipv4Addr d = Ipv4Addr{static_cast<std::uint32_t>(rng.next())};
+    const auto seg_len = static_cast<std::uint16_t>(len);
+    std::copy(b.begin(), b.end(), node.mem(kAt, len));
+    std::uint32_t acc = 0;
+    sim::memops::cksum(node, kAt, len, &acc);
+    const std::uint16_t ck = transport_checksum_le(s, d, kIpProtoTcp,
+                                                   seg_len, acc);
+    ASSERT_EQ(ck, transport_checksum(s, d, kIpProtoTcp, b)) << "len " << len;
+    if (len < kTcpHeaderLen) continue;
+    b[16] = static_cast<std::uint8_t>(ck >> 8);
+    b[17] = static_cast<std::uint8_t>(ck);
+    std::copy(b.begin(), b.end(), node.mem(kAt, len));
+    acc = 0;
+    sim::memops::cksum(node, kAt, len, &acc);
+    EXPECT_TRUE(transport_checksum_ok_le(s, d, kIpProtoTcp, seg_len, acc));
+    EXPECT_TRUE(transport_checksum_ok(s, d, kIpProtoTcp, b));
+    node.mem(kAt, len)[len - 1] ^= 0x01;
+    acc = 0;
+    sim::memops::cksum(node, kAt, len, &acc);
+    EXPECT_FALSE(transport_checksum_ok_le(s, d, kIpProtoTcp, seg_len, acc))
+        << "len " << len;
   }
 }
 

@@ -94,21 +94,27 @@ sim::Sub<std::optional<RawSeg>> raw_recv(An2Link& link, sim::Cycles timeout) {
   }
 }
 
-/// Encode and transmit one hand-built segment (no checksum: the engine
-/// under test runs with checksum validation off in raw-peer tests).
+/// Encode and transmit one hand-built segment with a valid checksum (most
+/// cases run with checksum validation off). `corrupt` flips one payload
+/// bit after checksumming, as a corrupting link would.
 sim::Sub<void> raw_send(An2Link& link, Ipv4Addr src, Ipv4Addr dst,
-                        TcpHeader tcp,
-                        std::span<const std::uint8_t> payload) {
+                        TcpHeader tcp, std::span<const std::uint8_t> payload,
+                        bool corrupt = false) {
   Node& node = link.self().node();
   const auto plen = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t total =
       static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen) + plen;
   const std::uint32_t pkt = link.tx_alloc_ip(total);
   std::uint8_t* p = node.mem(pkt, total);
+  tcp.checksum = 0;
   encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
   if (plen > 0) {
     std::memcpy(p + kIpHeaderLen + kTcpHeaderLen, payload.data(), plen);
   }
+  tcp.checksum = transport_checksum(src, dst, kIpProtoTcp,
+                                    {p + kIpHeaderLen, kTcpHeaderLen + plen});
+  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
+  if (corrupt && plen > 0) p[kIpHeaderLen + kTcpHeaderLen + plen / 2] ^= 0x10;
   IpHeader ip;
   ip.protocol = kIpProtoTcp;
   ip.src = src;
@@ -150,6 +156,7 @@ TcpFlags flags_of(bool syn, bool ack, bool fin = false, bool rst = false) {
 struct Role {
   bool passive = false;
   bool close_on_established = false;  // else hold the flow until it ends
+  bool checksum = false;              // turn checksum validation on
   sim::Cycles time_wait = us(10000.0);
   sim::Cycles run_for = us(500000.0);
 };
@@ -168,7 +175,7 @@ struct EngineDriver {
   static void spawn(World& w, Observed& o, Role r) {
     w.a.kernel().spawn("engine", [&w, &o, r](Process& self) -> Task {
       An2Link link(self, w.dev_a, {});
-      TcpEngine::Config cfg = engine_cfg(kIpA, /*checksum=*/false);
+      TcpEngine::Config cfg = engine_cfg(kIpA, r.checksum);
       cfg.time_wait = r.time_wait;
       TcpEngine eng(link, cfg);
       TcpEngine::ConnId id = 0;
@@ -207,7 +214,7 @@ struct ConnDriver {
       cfg.remote_ip = kIpB;
       cfg.local_port = r.passive ? 80 : 4000;
       cfg.remote_port = r.passive ? 5555 : 80;
-      cfg.checksum = false;
+      cfg.checksum = r.checksum;
       cfg.time_wait = r.time_wait;
       TcpConnection conn(link, cfg);
       o.state = [&] { return std::optional<TcpState>(conn.state()); };
@@ -364,6 +371,47 @@ void established_rst_requires_in_window_seq() {
 }
 TCP_STATE_CASE(EstablishedRstRequiresInWindowSeq,
                established_rst_requires_in_window_seq)
+
+template <class Driver>
+void corrupt_segment_is_dropped_and_counted() {
+  // With checksums on, a data segment with one flipped payload bit is
+  // dropped before the flow sees it and counted; the intact copy that
+  // follows is acknowledged.
+  World w;
+  Observed o;
+  Driver::spawn(w, o, Role{.checksum = true});
+  std::optional<std::uint32_t> ack_after_corrupt;
+  std::optional<std::uint32_t> ack_after_intact;
+  w.b.kernel().spawn("raw-peer", [&](Process& self) -> Task {
+    An2Link link(self, w.dev_b, {});
+    const auto iss = co_await raw_accept(link);
+    if (!iss.has_value()) co_return;
+    const std::vector<std::uint8_t> data = {'c', 'h', 'e', 'c', 'k', 's',
+                                            'u', 'm', 'm', 'e', 'd'};
+    const TcpHeader seg =
+        make_seg(80, 4000, 9001, *iss + 1, flags_of(false, true));
+    co_await raw_send(link, kIpB, kIpA, seg, data, /*corrupt=*/true);
+    const auto none = co_await raw_recv(link, us(20000.0));
+    if (none.has_value()) ack_after_corrupt = none->tcp.ack;
+    co_await raw_send(link, kIpB, kIpA, seg, data);
+    const auto ack = co_await raw_recv(link, us(100000.0));
+    if (ack.has_value()) ack_after_intact = ack->tcp.ack;
+    const auto end = static_cast<std::uint32_t>(9001 + data.size());
+    co_await raw_send(link, kIpB, kIpA,
+                      make_seg(80, 4000, end, 0,
+                               flags_of(false, false, false, true)),
+                      {});
+  });
+  w.sim.run(us(1e6));
+
+  EXPECT_TRUE(o.established);
+  EXPECT_TRUE(o.closed);
+  EXPECT_EQ(o.stats.cksum_failures, 1u);
+  EXPECT_FALSE(ack_after_corrupt.has_value() && *ack_after_corrupt != 9001u);
+  EXPECT_EQ(ack_after_intact, std::optional<std::uint32_t>(9001 + 11));
+}
+TCP_STATE_CASE(RawPeerCorruptSegmentIsDroppedAndCounted,
+               corrupt_segment_is_dropped_and_counted)
 
 template <class Driver>
 void syn_rcvd_retransmitted_syn_draws_synack() {
