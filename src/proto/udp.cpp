@@ -6,6 +6,7 @@
 #include "sim/memops.hpp"
 #include "sim/node.hpp"
 #include "util/byteorder.hpp"
+#include "util/checksum.hpp"
 
 namespace ash::proto {
 
@@ -14,11 +15,12 @@ constexpr std::uint32_t kHdrLen =
     static_cast<std::uint32_t>(kIpHeaderLen + kUdpHeaderLen);
 }
 
-std::uint32_t UdpSocket::finish_packet(std::uint32_t pkt_addr,
-                                       std::uint16_t len) {
+sim::Cycles UdpSocket::finish_packet(std::uint32_t pkt_addr,
+                                     std::uint16_t len) {
   sim::Node& node = link_.self().node();
   const std::uint32_t total = kHdrLen + len;
   std::uint8_t* pkt = node.mem(pkt_addr, total);
+  std::uint8_t* hdr = pkt + kIpHeaderLen;
 
   IpHeader ip;
   ip.protocol = kIpProtoUdp;
@@ -33,15 +35,21 @@ std::uint32_t UdpSocket::finish_packet(std::uint32_t pkt_addr,
   udp.dst_port = opt_.remote_port;
   udp.length = static_cast<std::uint16_t>(kUdpHeaderLen + len);
   udp.checksum = 0;
-  encode_udp({pkt + kIpHeaderLen, kUdpHeaderLen}, udp);
+  encode_udp({hdr, kUdpHeaderLen}, udp);
+  if (!opt_.checksum) return 0;
 
-  if (opt_.checksum) {
-    udp.checksum = transport_checksum(
-        opt_.local_ip, opt_.remote_ip, kIpProtoUdp,
-        {pkt + kIpHeaderLen, static_cast<std::size_t>(udp.length)});
-    encode_udp({pkt + kIpHeaderLen, kUdpHeaderLen}, udp);
-  }
-  return total;
+  // One charged pass over the payload yields the field; the header's two
+  // words, checksum still zero, join its sum uncharged.
+  std::uint32_t acc = 0;
+  const sim::Cycles cycles =
+      node.cost().udp_cksum_setup +
+      sim::memops::cksum(node, pkt_addr + kHdrLen, len, &acc);
+  acc = util::cksum32_accumulate(acc, util::load_u32(hdr));
+  acc = util::cksum32_accumulate(acc, util::load_u32(hdr + 4));
+  udp.checksum = transport_checksum_le(opt_.local_ip, opt_.remote_ip,
+                                       kIpProtoUdp, udp.length, acc);
+  encode_udp({hdr, kUdpHeaderLen}, udp);
+  return cycles;
 }
 
 sim::Sub<bool> UdpSocket::send_from(std::uint32_t app_addr,
@@ -54,13 +62,8 @@ sim::Sub<bool> UdpSocket::send_from(std::uint32_t app_addr,
   // library in the paper.
   sim::Cycles cycles =
       sim::memops::copy(node, pkt + kHdrLen, app_addr, len);
-  if (opt_.checksum) {
-    std::uint32_t dummy_acc = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kHdrLen, len, &dummy_acc);
-  }
+  cycles += finish_packet(pkt, len);
   cycles += node.cost().udp_send_overhead;  // header build + buffer mgmt
-  (void)finish_packet(pkt, len);
   co_await link_.self().compute(cycles);
   const bool sent = co_await link_.send_ip(pkt, kHdrLen + len);
   co_return sent;
@@ -71,13 +74,8 @@ sim::Sub<bool> UdpSocket::send(std::span<const std::uint8_t> payload) {
   const auto len = static_cast<std::uint16_t>(payload.size());
   const std::uint32_t pkt = link_.tx_alloc_ip(kHdrLen + len);
   std::memcpy(node.mem(pkt + kHdrLen, len), payload.data(), payload.size());
-  sim::Cycles cycles = node.cost().udp_send_overhead;
-  if (opt_.checksum) {
-    std::uint32_t dummy_acc = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kHdrLen, len, &dummy_acc);
-  }
-  (void)finish_packet(pkt, len);
+  const sim::Cycles cycles =
+      node.cost().udp_send_overhead + finish_packet(pkt, len);
   co_await link_.self().compute(cycles);
   const bool sent = co_await link_.send_ip(pkt, kHdrLen + len);
   co_return sent;
@@ -118,18 +116,18 @@ sim::Sub<UdpSocket::Datagram> UdpSocket::recv_in_place() {
     }
     if (opt_.checksum) {
       // Verify over the UDP segment (header + payload), a separate pass.
-      std::uint32_t dummy = 0;
+      std::uint32_t acc = 0;
       const std::uint32_t seg = d.addr + link_.rx_ip_offset() + kIpHeaderLen;
       const std::uint32_t seg_len = kUdpHeaderLen + dg->payload_len;
       const sim::Cycles ck_cycles =
           node.cost().udp_cksum_setup +
-          sim::memops::cksum(node, seg, seg_len, &dummy);
+          sim::memops::cksum(node, seg, seg_len, &acc);
       co_await link_.self().compute(ck_cycles);
-      const std::uint8_t* p = node.mem(seg, seg_len);
-      const std::uint16_t got = util::load_be16(p + 6);
+      const std::uint16_t got = util::load_be16(node.mem(seg + 6, 2));
       // 0 = sender did not checksum (RFC 768).
-      if (got != 0 && !transport_checksum_ok(opt_.remote_ip, opt_.local_ip,
-                                             kIpProtoUdp, {p, seg_len})) {
+      if (got != 0 && !transport_checksum_ok_le(
+                          opt_.remote_ip, opt_.local_ip, kIpProtoUdp,
+                          static_cast<std::uint16_t>(seg_len), acc)) {
         ++cksum_fail_;
         link_.release(d);
         continue;

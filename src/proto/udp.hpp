@@ -80,9 +80,10 @@ class UdpSocket {
   /// Validate headers/checksum of a raw message; nullopt = drop.
   std::optional<Datagram> parse(const net::RxDesc& d);
 
-  /// Build a full IP/UDP packet around payload already staged at
-  /// `payload_addr` inside packet buffer `pkt_addr`. Returns total length.
-  std::uint32_t finish_packet(std::uint32_t pkt_addr, std::uint16_t len);
+  /// Build a full IP/UDP packet around `len` payload bytes already staged
+  /// behind the headers in packet buffer `pkt_addr`, checksumming it if
+  /// enabled. Returns the checksum pass's cycles (0 when disabled).
+  sim::Cycles finish_packet(std::uint32_t pkt_addr, std::uint16_t len);
 
   Link& link_;
   Options opt_;

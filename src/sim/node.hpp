@@ -3,6 +3,7 @@
 // pair of DECstation 5000/240s.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@ class Kernel;
 class Simulator;
 
 struct NodeConfig {
+  /// Must be below 2^32: simulated addresses are 32-bit.
   std::size_t memory_bytes = 16u << 20;  // 16 MB
   CacheConfig cache;
   CostModel cost;
@@ -28,6 +30,8 @@ struct NodeConfig {
 
 class Node {
  public:
+  /// Throws std::invalid_argument when config.memory_bytes >= 2^32 and
+  /// std::bad_alloc when the memory cannot be mapped.
   Node(Simulator& sim, std::string name, const NodeConfig& config);
   ~Node();
   Node(const Node&) = delete;
@@ -47,8 +51,15 @@ class Node {
   Kernel& kernel() noexcept { return *kernel_; }
 
   // ---- physical memory ----
+  //
+  // One flat span backed by a demand-zero anonymous mapping: every byte
+  // reads zero until written, and the host commits only the pages the
+  // simulation touches. A PROT_NONE guard page on each side makes an
+  // overrun of the span fault in every build.
 
-  std::size_t memory_size() const noexcept { return memory_.size(); }
+  std::size_t memory_size() const noexcept {
+    return memory_.get_deleter().size;
+  }
 
   /// Bounds-checked pointer to `len` bytes at `addr`; nullptr when the
   /// range is out of bounds.
@@ -106,7 +117,13 @@ class Node {
   std::uint16_t cpu_id_ = 0;
   CostModel cost_;
   Cache dcache_;
-  std::vector<std::uint8_t> memory_;
+  /// Unmaps a `size`-byte span together with its guard pages.
+  struct Unmap {
+    std::size_t size;
+    void operator()(std::uint8_t* span) const noexcept;
+  };
+  // Declared before the kernel and the CPUs, so it outlives them.
+  std::unique_ptr<std::uint8_t, Unmap> memory_;  // null for 0 bytes
   std::unique_ptr<Kernel> kernel_;
   std::vector<std::unique_ptr<Cpu>> rx_cpus_;
   std::vector<std::unique_ptr<Cpu>> nic_units_;

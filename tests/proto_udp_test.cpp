@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
+#include "util/byteorder.hpp"
 
 namespace ash::proto {
 namespace {
@@ -169,6 +171,74 @@ TEST(Udp, ShortAndUnalignedPayloads) {
   });
   w.sim.run(us(3e6));
   EXPECT_EQ(lens, (std::vector<std::uint32_t>{1, 3, 7, 1001}));
+}
+
+TEST(Udp, OnWireChecksumMatchesTransportChecksum) {
+  // Both send paths take the field from one charged pass over the
+  // payload plus the header's words. It must equal transport_checksum
+  // over the segment for every short length, odd ones included, and up
+  // to the MTU; the verifying receiver accepts every datagram, and one
+  // whose field is zero (not checksummed, RFC 768).
+  UdpWorld w;
+  std::vector<std::uint32_t> lens;
+  for (std::uint32_t n = 0; n <= 64; ++n) lens.push_back(n);
+  // An2Link's IP MTU is its 4,096-byte receive buffer.
+  const auto max_len =
+      static_cast<std::uint32_t>(4096 - kIpHeaderLen - kUdpHeaderLen);
+  for (const std::uint32_t n : {255u, 1001u, 1471u, 2048u, max_len - 1}) {
+    lens.push_back(n);
+  }
+  lens.push_back(max_len);
+  std::size_t checked = 0;
+  std::uint16_t unchecked_field = 1;
+  std::uint64_t failures = 1;
+
+  w.b->kernel().spawn("server", [&](Process& self) -> Task {
+    An2Link link(self, *w.dev_b, {});
+    UdpSocket sock(link, w.opts_b());
+    for (std::size_t i = 0; i < 2 * lens.size(); ++i) {
+      auto dg = co_await sock.recv_in_place();
+      const std::uint32_t seg_len = kUdpHeaderLen + dg.payload_len;
+      const std::uint8_t* seg =
+          w.b->mem(dg.payload_addr - kUdpHeaderLen, seg_len);
+      std::vector<std::uint8_t> zeroed(seg, seg + seg_len);
+      zeroed[6] = zeroed[7] = 0;
+      EXPECT_EQ(util::load_be16(seg + 6),
+                transport_checksum(kIpA, kIpB, kIpProtoUdp, zeroed))
+          << "payload " << dg.payload_len << " datagram " << i;
+      ++checked;
+      sock.release(dg);
+    }
+    auto dg = co_await sock.recv_in_place();
+    unchecked_field = util::load_be16(w.b->mem(dg.payload_addr - 2, 2));
+    sock.release(dg);
+    failures = sock.checksum_failures();
+  });
+  w.a->kernel().spawn("client", [&](Process& self) -> Task {
+    An2Link link(self, *w.dev_a, {});
+    UdpSocket sock(link, w.opts_a());
+    const std::uint32_t app = self.segment().base + 256;
+    const auto fill = [&](std::uint32_t n, std::uint8_t salt) {
+      std::uint8_t* p = w.a->mem(app, n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        p[i] = static_cast<std::uint8_t>(i * 151 + n + salt);
+      }
+      return p;
+    };
+    for (const std::uint32_t n : lens) {
+      co_await sock.send({fill(n, 0x5a), n});
+      co_await self.sleep_for(us(300.0));
+      fill(n, 0xc3);
+      co_await sock.send_from(app, static_cast<std::uint16_t>(n));
+      co_await self.sleep_for(us(300.0));
+    }
+    UdpSocket unchecked(link, w.opts_a(/*checksum=*/false));
+    co_await unchecked.send({w.a->mem(app, 4), 4});
+  });
+  w.sim.run(us(3e6));
+  EXPECT_EQ(checked, 2 * lens.size());
+  EXPECT_EQ(unchecked_field, 0);
+  EXPECT_EQ(failures, 0u);
 }
 
 TEST(Udp, LatencyBallparkMatchesTableII) {
