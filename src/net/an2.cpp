@@ -11,9 +11,7 @@
 namespace ash::net {
 
 An2Device::An2Device(sim::Node& node, const An2Config& config)
-    : RxPort(node, trace::NicKind::An2),
-      config_(config),
-      faults_(config.faults) {}
+    : RxPort(node, trace::NicKind::An2, config.faults), config_(config) {}
 
 void An2Device::connect(An2Device& peer) {
   if (peer_ != nullptr || peer.peer_ != nullptr || switch_ != nullptr ||
@@ -40,49 +38,20 @@ sim::Cycles An2Device::tx_wire_cycles(std::uint32_t len) const {
          static_cast<sim::Cycles>(cycles_per_byte * len);
 }
 
-bool An2Device::send_from(int dst_vc, std::uint32_t addr, std::uint32_t len) {
-  const std::uint8_t* p = node_.mem(addr, len);
-  if (p == nullptr) return false;
-  return send(dst_vc, {p, len});
-}
-
 bool An2Device::send(int dst_vc, std::span<const std::uint8_t> bytes) {
   if (peer_ == nullptr && switch_ == nullptr) return false;
-
-  // Link serialization pipelines behind earlier packets.
-  const sim::Cycles now = node_.now();
-  const sim::Cycles start = now > tx_free_at_ ? now : tx_free_at_;
-  tx_free_at_ = start + tx_wire_cycles(static_cast<std::uint32_t>(bytes.size()));
-  const sim::Cycles arrive = tx_free_at_ + config_.one_way_latency;
-
-  std::vector<std::uint8_t> copy(bytes.begin(), bytes.end());
-  const FaultInjector::Decision fault = faults_.inject(copy);
-  if (fault.drop) return true;  // vanished on the wire
-
-  // One delivery closure serves the switched and point-to-point paths, so
-  // every fault class (including duplication) behaves identically on both.
-  const auto dispatch = [this, dst_vc](sim::Cycles at,
-                                       std::vector<std::uint8_t> frame) {
-    if (switch_ != nullptr) {
-      An2Switch* sw = switch_;
-      const int port = switch_port_;
-      node_.queue().schedule_at(at, [sw, port, dst_vc,
-                                     frame = std::move(frame)]() mutable {
-        sw->forward(port, dst_vc, std::move(frame));
-      });
-    } else {
-      An2Device* peer = peer_;
-      node_.queue().schedule_at(at, [peer, dst_vc,
-                                     frame = std::move(frame)]() mutable {
-        peer->deliver(dst_vc, std::move(frame));
-      });
-    }
-  };
-
-  if (fault.duplicate) {
-    dispatch(arrive + fault.extra_delay + faults_.config().dup_delay, copy);
-  }
-  dispatch(arrive + fault.extra_delay, std::move(copy));
+  // One landing serves the switched and point-to-point paths, so every
+  // fault class (duplication included) behaves identically on both.
+  transmit(bytes, tx_wire_cycles(static_cast<std::uint32_t>(bytes.size())),
+           config_.one_way_latency,
+           [sw = switch_, port = switch_port_, peer = peer_,
+            dst_vc](std::vector<std::uint8_t> frame) {
+             if (sw != nullptr) {
+               sw->forward(port, dst_vc, std::move(frame));
+             } else {
+               peer->deliver(dst_vc, std::move(frame));
+             }
+           });
   return true;
 }
 
@@ -90,18 +59,10 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
   if (!valid_channel(vc_id)) return;
   Channel& vc = chan(vc_id);
 
-  if (trace::enabled()) {
-    trace::global().emit(trace::make_event(
-        trace::EventType::FrameArrival, node_.cpu_id(), node_.now(), vc_id,
-        static_cast<std::uint32_t>(bytes.size()),
-        static_cast<std::uint32_t>(trace::NicKind::An2)));
-    // On the AN2, the VC identifier IS the demux decision (hardware
-    // steering, no classifier walk): zero nodes visited, fixed cost.
-    trace::global().emit(trace::make_event(
-        trace::EventType::DemuxDecision, node_.cpu_id(), node_.now(), vc_id,
-        0, static_cast<std::uint32_t>(trace::NicKind::An2),
-        node_.cost().demux_an2));
-  }
+  // On the AN2, the VC identifier IS the demux decision (hardware
+  // steering, no classifier walk): zero nodes visited, fixed cost.
+  trace_arrival(vc_id, static_cast<std::uint32_t>(bytes.size()), 0,
+                node_.cost().demux_an2);
 
   if (vc.free_bufs.empty()) {
     count_drop(vc_id);
@@ -155,7 +116,6 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
   f.channel = vc_id;
   f.addr = desc.addr;
   f.len = desc.len;
-  f.buf_addr = buf.addr;
   f.buf_len = buf.len;
   f.owner = vc.owner;
   f.driver_cycles =
@@ -165,8 +125,7 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
 
 void An2Device::recycle(const RxFrame& frame) {
   // The pinned receive buffer goes back at its full original length.
-  chan(frame.channel).free_bufs.push_back(
-      RxDesc{frame.buf_addr, frame.buf_len});
+  chan(frame.channel).free_bufs.push_back(RxDesc{frame.addr, frame.buf_len});
 }
 
 bool An2Device::post(const RxFrame& frame, const sim::KernelCpu& cpu) {

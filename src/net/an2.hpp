@@ -15,14 +15,14 @@
 //  * link timing: fixed one-way board/switch latency plus serialization at
 //    the payload rate plus a fixed per-packet DMA/cell-framing overhead —
 //    calibrated so a 4-byte hardware round trip costs the paper's 96 us
-//    and a 4 KB train tops out near 16.1 MB/s (Fig. 3).
+//    and a 4 KB train tops out near 16.1 MB/s (Fig. 3). The port's
+//    transmit tail applies it (RxPort::transmit).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "net/fault.hpp"
 #include "net/rx_port.hpp"
 #include "sim/node.hpp"
 #include "sim/process.hpp"
@@ -49,7 +49,7 @@ struct An2Config {
   /// Kernel-side transmit work (descriptor + board register writes).
   sim::Cycles tx_kernel_work = sim::us(4.0);
   /// Injected faults for protocol testing (defaults: a perfect link).
-  /// Applied on this device's transmit side, so each link direction has
+  /// Applied on this port's transmit tail, so each link direction has
   /// its own deterministic fault schedule.
   FaultConfig faults;
 };
@@ -75,22 +75,12 @@ class An2Device final : public RxPort {
   /// kernel context right after the driver's cache flush.
   int bind_vc(sim::Process& owner) { return add_channel(owner); }
 
-  /// Per-fault-class event counts for this device's transmit direction.
-  const FaultCounters& fault_counters() const noexcept {
-    return faults_.counters();
-  }
-  /// Swap the fault schedule mid-run (loss sweeps, link-heal tests).
-  void set_faults(const FaultConfig& faults) { faults_.set_config(faults); }
-
   // ---- transmit ----
 
-  /// Send `len` bytes at `addr` in this node's memory to the peer's VC
-  /// `dst_vc`. CPU cost is the caller's business (tx_kernel_work is
-  /// exposed for that); this accounts wire time only. Returns false if
-  /// not connected or the range is bad.
-  bool send_from(int dst_vc, std::uint32_t addr, std::uint32_t len);
-
-  /// Send a byte string to the peer's VC `dst_vc`.
+  /// Send a byte string to VC `dst_vc` (the peer's, or the one the
+  /// switch's circuit table routes). Refused when not connected; the
+  /// port's transmit tail times the rest with tx_wire_cycles and
+  /// one_way_latency and lands it at the peer or the switch.
   bool send(int dst_vc, std::span<const std::uint8_t> bytes) override;
 
   /// Serialization + fixed per-packet cost for `len` bytes (for benches).
@@ -115,8 +105,6 @@ class An2Device final : public RxPort {
   An2Device* peer_ = nullptr;
   An2Switch* switch_ = nullptr;
   int switch_port_ = -1;
-  sim::Cycles tx_free_at_ = 0;  // link serialization pipeline
-  FaultInjector faults_;
 };
 
 }  // namespace ash::net

@@ -1,6 +1,5 @@
 #include "net/ethernet.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "sim/kernel.hpp"
@@ -17,14 +16,8 @@ constexpr std::uint32_t kKernelBufBase = 0x8000;
 }  // namespace
 
 EthernetDevice::EthernetDevice(sim::Node& node, const EthernetConfig& config)
-    : RxPort(node, trace::NicKind::Ethernet),
-      config_(config),
-      faults_(config.faults) {
-  if (config_.compiled_dpf) {
-    demux_ = std::make_unique<dpf::CompiledEngine>();
-  } else {
-    demux_ = std::make_unique<dpf::InterpretedEngine>();
-  }
+    : RxPort(node, trace::NicKind::Ethernet, config.faults),
+      config_(config) {
   const std::uint32_t buf_bytes = 2 * config_.max_frame_bytes;
   for (std::size_t i = 0; i < config_.rx_buffers; ++i) {
     const std::uint32_t addr =
@@ -46,7 +39,7 @@ void EthernetDevice::connect(EthernetDevice& peer) {
 
 int EthernetDevice::attach(sim::Process& owner, dpf::Filter filter) {
   const int id = add_channel(owner);
-  demux_->insert(std::move(filter), id);
+  demux_.insert(std::move(filter), id);
   return id;
 }
 
@@ -60,37 +53,16 @@ sim::Cycles EthernetDevice::tx_wire_cycles(std::uint32_t len) const {
   return static_cast<sim::Cycles>(cycles_per_byte * wire_len);
 }
 
-bool EthernetDevice::send_from(std::uint32_t addr, std::uint32_t len) {
-  const std::uint8_t* p = node_.mem(addr, len);
-  if (p == nullptr) return false;
-  return send({p, len});
-}
-
-bool EthernetDevice::send(std::span<const std::uint8_t> bytes) {
+bool EthernetDevice::send(int /*channel*/,
+                          std::span<const std::uint8_t> bytes) {
   if (peer_ == nullptr || bytes.size() > config_.max_frame_bytes) {
     return false;
   }
-  const sim::Cycles now = node_.now();
-  const sim::Cycles start = now > tx_free_at_ ? now : tx_free_at_;
-  tx_free_at_ =
-      start + tx_wire_cycles(static_cast<std::uint32_t>(bytes.size()));
-  const sim::Cycles arrive = tx_free_at_ + config_.one_way_latency;
-
-  std::vector<std::uint8_t> copy(bytes.begin(), bytes.end());
-  const FaultInjector::Decision fault = faults_.inject(copy);
-  if (fault.drop) return true;  // vanished on the wire
-
-  EthernetDevice* peer = peer_;
-  if (fault.duplicate) {
-    std::vector<std::uint8_t> dup = copy;
-    node_.queue().schedule_at(
-        arrive + fault.extra_delay + faults_.config().dup_delay,
-        [peer, dup = std::move(dup)]() mutable { peer->deliver(std::move(dup)); });
-  }
-  node_.queue().schedule_at(arrive + fault.extra_delay,
-                            [peer, copy = std::move(copy)]() mutable {
-                              peer->deliver(std::move(copy));
-                            });
+  transmit(bytes, tx_wire_cycles(static_cast<std::uint32_t>(bytes.size())),
+           config_.one_way_latency,
+           [peer = peer_](std::vector<std::uint8_t> frame) {
+             peer->deliver(std::move(frame));
+           });
   return true;
 }
 
@@ -131,27 +103,10 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
 
   // Interrupt handler: DPF demux, then the endpoint's receive path.
   dpf::MatchStats stats;
-  const int ep_id = demux_->match(bytes, &stats);
-
-  sim::Cycles demux_cost;
-  std::uint32_t visited;
-  if (config_.compiled_dpf) {
-    visited = stats.nodes_visited;
-    demux_cost = stats.nodes_visited * node_.cost().dpf_node_cost;
-  } else {
-    visited = stats.atoms_evaluated;
-    demux_cost = stats.atoms_evaluated * node_.cost().dpf_interp_atom_cost;
-  }
-
-  if (trace::enabled()) {
-    trace::global().emit(trace::make_event(
-        trace::EventType::FrameArrival, node_.cpu_id(), node_.now(), ep_id,
-        len, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-    trace::global().emit(trace::make_event(
-        trace::EventType::DemuxDecision, node_.cpu_id(), node_.now(), ep_id,
-        visited, static_cast<std::uint32_t>(trace::NicKind::Ethernet),
-        demux_cost));
-  }
+  const int ep_id = demux_.match(bytes, &stats);
+  const sim::Cycles demux_cost =
+      stats.nodes_visited * node_.cost().dpf_node_cost;
+  trace_arrival(ep_id, len, stats.nodes_visited, demux_cost);
 
   const std::uint32_t buf_addr = kb->addr;
   if (ep_id < 0) {
@@ -173,7 +128,6 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
   f.channel = ep_id;
   f.addr = buf_addr;  // striped kernel buffer
   f.len = len;
-  f.buf_addr = buf_addr;
   f.buf_len = len;
   f.owner = chan(ep_id).owner;
   f.driver_cycles = config_.rx_driver_work + demux_cost;
@@ -187,14 +141,14 @@ bool EthernetDevice::post(const RxFrame& frame, const sim::KernelCpu& cpu) {
   Channel& ep = chan(frame.channel);
   if (ep.free_bufs.empty() || ep.free_bufs.front().len < frame.len) {
     count_drop(frame.channel);
-    release_kernel_buf(frame.buf_addr);
+    release_kernel_buf(frame.addr);
     return false;
   }
   const RxDesc dst = ep.free_bufs.front();
   ep.free_bufs.pop_front();
-  cpu.kernel_work(sim::memops::copy_destripe(node_, dst.addr, frame.buf_addr,
+  cpu.kernel_work(sim::memops::copy_destripe(node_, dst.addr, frame.addr,
                                              frame.len, kStripeChunk));
-  release_kernel_buf(frame.buf_addr);
+  release_kernel_buf(frame.addr);
   ep.notify_ring.push_back({dst.addr, frame.len});
   return true;
 }

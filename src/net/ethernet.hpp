@@ -9,18 +9,16 @@
 //    this case, at least one copy is always necessary" (Section V-A1) —
 //    the kernel (or an ASH) must copy the frame out promptly or new frames
 //    are dropped;
-//  * demultiplexing runs DPF over the frame in the interrupt handler; the
-//    winning endpoint's receive path (default copy-out, or its ASH hook)
-//    then runs in kernel context.
+//  * demultiplexing runs DPF (the compiled engine) over the frame in the
+//    interrupt handler; the winning endpoint's receive path (default
+//    copy-out, or its ASH hook) then runs in kernel context.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "dpf/dpf.hpp"
-#include "net/fault.hpp"
 #include "net/rx_port.hpp"
 #include "sim/node.hpp"
 #include "sim/process.hpp"
@@ -41,10 +39,9 @@ struct EthernetConfig {
   /// (the LANCE is a slow device to program over the TURBOchannel).
   sim::Cycles rx_driver_work = sim::us(12.0);
   sim::Cycles tx_kernel_work = sim::us(20.0);
-  /// Use the compiled DPF engine (true) or the interpreted baseline.
-  bool compiled_dpf = true;
   /// Injected faults for protocol testing (defaults: a perfect link).
-  /// Same surface as An2Config::faults — one injector per link direction.
+  /// Same surface as An2Config::faults — one injector per link direction,
+  /// on the port's transmit tail.
   FaultConfig faults;
 };
 
@@ -75,13 +72,6 @@ class EthernetDevice final : public RxPort {
   /// Frames no endpoint matched (counted and dropped inline).
   std::uint64_t unmatched() const noexcept { return unmatched_; }
 
-  /// Per-fault-class event counts for this device's transmit direction.
-  const FaultCounters& fault_counters() const noexcept {
-    return faults_.counters();
-  }
-  /// Swap the fault schedule mid-run (loss sweeps, link-heal tests).
-  void set_faults(const FaultConfig& faults) { faults_.set_config(faults); }
-
   /// Kernel receive buffers currently held by in-flight receive paths.
   /// Zero once all deliveries have drained — the fuzz harness's
   /// kernel-buffer leak check.
@@ -93,17 +83,16 @@ class EthernetDevice final : public RxPort {
 
   // ---- transmit ----
 
-  bool send_from(std::uint32_t addr, std::uint32_t len);
-  bool send(std::span<const std::uint8_t> bytes);
+  /// Send one frame to the peer (Ethernet carries no channel on the wire,
+  /// so `channel` is ignored). Refused when not connected or longer than
+  /// max_frame_bytes; the port's transmit tail times the rest with
+  /// tx_wire_cycles and one_way_latency.
+  bool send(int channel, std::span<const std::uint8_t> bytes) override;
+  bool send(std::span<const std::uint8_t> bytes) { return send(-1, bytes); }
   sim::Cycles tx_wire_cycles(std::uint32_t len) const;
 
-  // RxPort: Ethernet carries no channel on the wire.
   std::uint32_t stripe_chunk() const noexcept override {
     return kStripeChunk;
-  }
-  bool send(int channel, std::span<const std::uint8_t> bytes) override {
-    (void)channel;
-    return send(bytes);
   }
   sim::Cycles tx_kernel_work() const noexcept override {
     return config_.tx_kernel_work;
@@ -118,17 +107,15 @@ class EthernetDevice final : public RxPort {
   void deliver(std::vector<std::uint8_t> bytes);
   void release_kernel_buf(std::uint32_t addr);
   void recycle(const RxFrame& frame) override {
-    release_kernel_buf(frame.buf_addr);
+    release_kernel_buf(frame.addr);
   }
   bool post(const RxFrame& frame, const sim::KernelCpu& cpu) override;
 
   EthernetConfig config_;
   EthernetDevice* peer_ = nullptr;
   std::vector<KernelBuf> kernel_bufs_;
-  std::unique_ptr<dpf::Engine> demux_;
-  sim::Cycles tx_free_at_ = 0;
+  dpf::CompiledEngine demux_;
   std::uint64_t unmatched_ = 0;
-  FaultInjector faults_;
 };
 
 }  // namespace ash::net

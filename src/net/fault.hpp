@@ -5,12 +5,13 @@
 // two links could never be stressed the same way — and nothing could
 // reorder, corrupt, or truncate a frame at all. FaultInjector is the one
 // shared implementation: a seeded, deterministic, per-direction mutator
-// that sits on each device's transmit side and decides, per frame,
-// whether to drop, duplicate, reorder (delay past later traffic),
-// corrupt (flip bytes), truncate, or jitter (small extra delay) it.
+// that sits on the port's transmit tail (net::RxPort::transmit, which both
+// devices send through) and decides, per frame, whether to drop,
+// duplicate, reorder (delay past later traffic), corrupt (flip bytes),
+// truncate, or jitter (small extra delay) it.
 //
 // Determinism: the injector draws from its own xoshiro256** stream, one
-// injector per device (= per link direction), so a given (config, seed,
+// injector per port (= per link direction), so a given (config, seed,
 // traffic) triple replays the exact same fault schedule run-to-run. With
 // every probability at zero it draws nothing and mutates nothing — the
 // fault-free experiments are byte-identical to a build without it.
@@ -67,7 +68,7 @@ struct FaultCounters {
 
 class FaultInjector {
  public:
-  /// What the device should do with the (possibly mutated) frame.
+  /// What the transmit tail should do with the (possibly mutated) frame.
   struct Decision {
     bool drop = false;          // do not deliver at all
     bool duplicate = false;     // deliver a second copy dup_delay later
@@ -84,8 +85,9 @@ class FaultInjector {
 
   /// Judge one frame about to be transmitted. Corruption/truncation are
   /// applied to `frame` in place; drop/duplicate/delay come back as a
-  /// Decision for the device to schedule. When no fault class is enabled
-  /// this draws no random numbers and returns the identity decision.
+  /// Decision for the transmit tail to schedule. When no fault class is
+  /// enabled this draws no random numbers and returns the identity
+  /// decision.
   Decision inject(std::vector<std::uint8_t>& frame);
 
  private:

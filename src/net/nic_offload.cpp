@@ -106,31 +106,15 @@ bool NicProcessor::offer(RxFrame frame) {
     return false;
   }
 
-  // NIC enqueue mirrors RxQueue::enqueue exactly: overflow is a device
-  // drop checked before the quota, so a full NIC queue never charges the
-  // tenant's occupancy account.
-  RxQuota* quota = host_->config().quota;
-  const bool overflow = q.pending.size() >= cfg_.queue_capacity;
-  if (overflow || (quota != nullptr && !quota->try_admit(frame.owner))) {
-    const RxDropReason why =
-        overflow ? RxDropReason::Overflow : RxDropReason::TenantQuota;
+  // NIC enqueue is the host queues' admission; its drops trace on the
+  // queue's first unit.
+  if (const auto why = admit_frame(
+          frame, q.pending.size() >= cfg_.queue_capacity,
+          host_->config().quota, q.units[0]->exec.cpu_id(), qi,
+          node_.now())) {
     ++q.stats.dropped;
-    if (why == RxDropReason::Overflow) {
-      ++q.stats.overflow_drops;
-    } else {
-      ++q.stats.quota_drops;
-    }
-    if (quota != nullptr) quota->on_drop(frame.owner, why);
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::RxDrop, q.units[0]->exec.cpu_id(), node_.now(),
-          static_cast<std::int32_t>(qi),
-          frame.owner != nullptr ? frame.owner->pid() : 0,
-          static_cast<std::uint32_t>(why), 0,
-          static_cast<std::uint64_t>(
-              frame.channel < 0 ? 0 : frame.channel)));
-    }
-    if (frame.sink != nullptr) frame.sink->rx_drop(frame);
+    ++(*why == RxDropReason::Overflow ? q.stats.overflow_drops
+                                      : q.stats.quota_drops);
     return true;
   }
 

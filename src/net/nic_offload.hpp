@@ -48,10 +48,10 @@
 //    (NIC units vs host CPUs) differs. The differential replay and
 //    punt-property tests pin exactly this.
 //
-//  * tenant isolation holds on-device — NIC enqueue consults the same
-//    RxQuota the host queues use, with the same ordering (overflow is a
+//  * tenant isolation holds on-device — NIC enqueue is the host queues'
+//    admission (net::admit_frame) over the same RxQuota: overflow is a
 //    device-attributed drop checked before the quota, so a full NIC queue
-//    never charges the tenant's occupancy account).
+//    never charges the tenant's occupancy account.
 //
 // Conservation (per NIC queue, at quiescence):
 //   offered == nic_executed + punted + dropped,  and

@@ -120,6 +120,18 @@ void RxPort::count_drop(int channel) {
   ++drops_;
 }
 
+void RxPort::trace_arrival(int channel, std::uint32_t len,
+                           std::uint32_t visited, sim::Cycles demux) const {
+  if (!trace::enabled()) return;
+  const auto kind = static_cast<std::uint32_t>(kind_);
+  trace::global().emit(trace::make_event(trace::EventType::FrameArrival,
+                                         node_.cpu_id(), node_.now(),
+                                         channel, len, kind));
+  trace::global().emit(trace::make_event(trace::EventType::DemuxDecision,
+                                         node_.cpu_id(), node_.now(),
+                                         channel, visited, kind, demux));
+}
+
 void RxPort::steer(RxFrame frame) {
   frame.sink = this;
   if (rxq_ != nullptr) {

@@ -1,29 +1,30 @@
-// The receive side both network devices share (Section III-C).
+// The port both network devices share: its transmit tail and its receive
+// side (Section III-C).
 //
-// In the paper, both drivers hand a message to an ASH the same way once
-// demux is done: the AN2 driver right after its software cache flush, the
-// Ethernet interrupt handler right after DPF. Everything past "the frame
-// has landed and its channel is known" is therefore one mechanism, and it
-// lives here, once:
+// In the paper, the two drivers differ only in how a frame lands: the AN2
+// DMAs it into the VC's pinned buffer, the Ethernet stripes it into a
+// scarce kernel buffer and runs DPF. Everything else is one mechanism, and
+// it lives here, once:
 //
+//  * the transmit tail (the wire model): serialization behind earlier
+//    frames, latency, and the link direction's fault injector;
 //  * the per-channel table (an AN2 virtual circuit or an Ethernet/DPF
 //    endpoint): owner, free and notification rings, arrival channel,
 //    interrupt mode, and the channel's hook — a handler binding or a
 //    per-frame kernel hook. It is the one record of what runs on a
 //    channel: a smart NIC holds a channel resident exactly while it is
 //    bound, and its units run the binding;
-//  * the steer tail of delivery: a smart-NIC offer first, then the
-//    multi-queue receive set, else the inline interrupt-time path;
+//  * the arrival trace and the steer tail of delivery: a smart-NIC offer
+//    first, then the multi-queue receive set, else the inline path;
 //  * the dispatch session over bound channels, hook invocation, and the
 //    fallback of frames no hook consumed, for inline arrivals (a session
 //    of one on the node's main CPU), fired RX queue batches, and NIC
 //    punts alike.
 //
-// A device keeps only what really differs: how a frame lands (AN2 DMAs
-// into the VC's pinned buffer; Ethernet stripes into a scarce kernel
-// buffer and runs DPF), the stripe geometry the kernel hides from
-// handlers, transmit, buffer recycling, and how a declined frame reaches
-// and wakes its owner.
+// A device keeps only what really differs: its refusal checks, wire
+// formula and latency, where a sent frame goes, how a frame lands, the
+// stripe geometry the kernel hides from handlers, buffer recycling, and
+// how a declined frame reaches and wakes its owner.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "net/fault.hpp"
 #include "net/rx_queue.hpp"
 #include "sim/cpu.hpp"
 #include "sim/node.hpp"
@@ -134,10 +136,24 @@ class RxPort : public RxSink {
   /// followed by as many padding bytes (Section III-C).
   virtual std::uint32_t stripe_chunk() const noexcept = 0;
   /// Transmit `bytes` on `channel` (a device without channels ignores
-  /// it). Wire time only; the caller charges tx_kernel_work().
+  /// it). Wire time only; the caller charges tx_kernel_work(). false: the
+  /// device refused it (a frame lost to a fault still counts as sent).
   virtual bool send(int channel, std::span<const std::uint8_t> bytes) = 0;
+  /// Send `len` bytes at `addr` in this node's memory; false if the range
+  /// is bad or send() refuses.
+  bool send_from(int channel, std::uint32_t addr, std::uint32_t len) {
+    const std::uint8_t* p = node_.mem(addr, len);
+    return p != nullptr && send(channel, {p, len});
+  }
   /// Kernel-side CPU work per transmit.
   virtual sim::Cycles tx_kernel_work() const noexcept = 0;
+
+  /// Per-fault-class event counts for this port's transmit direction.
+  const FaultCounters& fault_counters() const noexcept {
+    return faults_.counters();
+  }
+  /// Swap the fault schedule mid-run (loss sweeps, link-heal tests).
+  void set_faults(const FaultConfig& faults) { faults_.set_config(faults); }
 
   // ---- channels ----
 
@@ -235,7 +251,38 @@ class RxPort : public RxSink {
     bool hooked() const noexcept { return hook || binding.handlers; }
   };
 
-  RxPort(sim::Node& node, trace::NicKind kind) : node_(node), kind_(kind) {}
+  RxPort(sim::Node& node, trace::NicKind kind, const FaultConfig& faults)
+      : node_(node), kind_(kind), faults_(faults) {}
+
+  /// The transmit tail: serialize behind earlier frames for `wire` cycles
+  /// (from the untruncated length), let the fault injector judge a copy of
+  /// `bytes`, and unless it drops it, schedule `land(copy)` at the end of
+  /// serialization + `latency` + the injector's delay, after a duplicate's
+  /// landing dup_delay later. The one place a sent frame's vector is made.
+  template <typename Land>
+  void transmit(std::span<const std::uint8_t> bytes, sim::Cycles wire,
+                sim::Cycles latency, const Land& land) {
+    const sim::Cycles now = node_.now();
+    tx_free_at_ = (now > tx_free_at_ ? now : tx_free_at_) + wire;
+    std::vector<std::uint8_t> frame(bytes.begin(), bytes.end());
+    const FaultInjector::Decision fault = faults_.inject(frame);
+    if (fault.drop) return;  // vanished on the wire
+    const sim::Cycles at = tx_free_at_ + latency + fault.extra_delay;
+    if (fault.duplicate) {
+      node_.queue().schedule_at(
+          at + faults_.config().dup_delay,
+          [land, frame]() mutable { land(std::move(frame)); });
+    }
+    node_.queue().schedule_at(at, [land, frame = std::move(frame)]() mutable {
+      land(std::move(frame));
+    });
+  }
+
+  /// Trace a frame that landed, and the demux decision that named its
+  /// channel (< 0: none): FrameArrival, then DemuxDecision with the
+  /// classifier nodes `visited` and the `demux` cycles charged.
+  void trace_arrival(int channel, std::uint32_t len, std::uint32_t visited,
+                     sim::Cycles demux) const;
 
   /// Bind a new channel owned by `owner`; returns its id.
   int add_channel(sim::Process& owner);
@@ -294,6 +341,8 @@ class RxPort : public RxSink {
   bool fall_back(const RxFrame& frame, const sim::KernelCpu& cpu);
 
   trace::NicKind kind_;
+  FaultInjector faults_;
+  sim::Cycles tx_free_at_ = 0;  // link serialization pipeline
   std::vector<Channel> channels_;
   std::unique_ptr<bool[]> consumed_;  // a bound run's flags, reused
   std::size_t consumed_cap_ = 0;

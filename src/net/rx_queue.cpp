@@ -66,6 +66,28 @@ int SteeringPolicy::flow_channel(std::uint32_t local_ip,
   return static_cast<int>(folded & 0x7fffffffu);
 }
 
+std::optional<RxDropReason> admit_frame(const RxFrame& frame, bool full,
+                                        RxQuota* quota, std::uint16_t cpu_id,
+                                        std::size_t queue, sim::Cycles now) {
+  // try_admit charges occupancy only when it admits.
+  if (!full && (quota == nullptr || quota->try_admit(frame.owner))) {
+    return std::nullopt;
+  }
+  const RxDropReason why =
+      full ? RxDropReason::Overflow : RxDropReason::TenantQuota;
+  if (quota != nullptr) quota->on_drop(frame.owner, why);
+  if (trace::enabled()) {
+    trace::global().emit(trace::make_event(
+        trace::EventType::RxDrop, cpu_id, now,
+        static_cast<std::int32_t>(queue),
+        frame.owner != nullptr ? frame.owner->pid() : 0,
+        static_cast<std::uint32_t>(why), 0,
+        static_cast<std::uint64_t>(frame.channel < 0 ? 0 : frame.channel)));
+  }
+  if (frame.sink != nullptr) frame.sink->rx_drop(frame);
+  return why;
+}
+
 RxQueue::RxQueue(sim::KernelCpu cpu, std::size_t index,
                  const CoalesceConfig& co, std::size_t capacity,
                  RxQuota* quota)
@@ -77,29 +99,11 @@ RxQueue::RxQueue(sim::KernelCpu cpu, std::size_t index,
 void RxQueue::enqueue(RxFrame frame) {
   sim::Node& node = cpu_.node();
   ++enqueued_;  // counts offered frames, so drops stay in the balance
-  // Overflow is checked first so a full queue never charges the tenant's
-  // occupancy account (try_admit charges only when it admits).
-  const bool overflow = pending_.size() >= capacity_;
-  if (overflow || (quota_ != nullptr && !quota_->try_admit(frame.owner))) {
-    const RxDropReason why =
-        overflow ? RxDropReason::Overflow : RxDropReason::TenantQuota;
+  if (const auto why = admit_frame(frame, pending_.size() >= capacity_,
+                                   quota_, cpu_.cpu_id(), index_,
+                                   node.now())) {
     ++dropped_;
-    if (why == RxDropReason::Overflow) {
-      ++overflow_drops_;
-    } else {
-      ++quota_drops_;
-    }
-    if (quota_ != nullptr) quota_->on_drop(frame.owner, why);
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::RxDrop, cpu_.cpu_id(), node.now(),
-          static_cast<std::int32_t>(index_),
-          frame.owner != nullptr ? frame.owner->pid() : 0,
-          static_cast<std::uint32_t>(why), 0,
-          static_cast<std::uint64_t>(
-              frame.channel < 0 ? 0 : frame.channel)));
-    }
-    if (frame.sink != nullptr) frame.sink->rx_drop(frame);
+    ++(*why == RxDropReason::Overflow ? overflow_drops_ : quota_drops_);
     return;
   }
   frame.enqueued_at = node.now();

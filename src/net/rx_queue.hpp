@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -58,10 +59,9 @@ class RxSink;
 struct RxFrame {
   RxSink* sink = nullptr;
   int channel = -1;              // AN2 VC or Ethernet endpoint id
-  std::uint32_t addr = 0;        // delivered message location
+  std::uint32_t addr = 0;        // delivered message location = rx buffer
   std::uint32_t len = 0;
-  std::uint32_t buf_addr = 0;    // original rx buffer (recycled on drop)
-  std::uint32_t buf_len = 0;
+  std::uint32_t buf_len = 0;     // the rx buffer's length (recycled on drop)
   sim::Process* owner = nullptr;
   sim::Cycles driver_cycles = 0;
   sim::Cycles enqueued_at = 0;
@@ -148,6 +148,17 @@ class RxQuota {
   /// A frame owned by `owner` was dropped at enqueue for `reason`.
   virtual void on_drop(const sim::Process* owner, RxDropReason reason) = 0;
 };
+
+/// The enqueue admission of every receive queue, host RxQueue and NIC
+/// queue alike. Overflow (`full`) is checked before the tenant quota, so a
+/// full queue never charges the tenant's occupancy account. A refused
+/// frame is attributed to its owner (RxQuota::on_drop), traced as an
+/// RxDrop of queue `queue` on `cpu_id`, and handed back to its sink
+/// (RxSink::rx_drop). Returns why it was refused, or nothing once
+/// admitted; the queue counts the drop itself.
+std::optional<RxDropReason> admit_frame(const RxFrame& frame, bool full,
+                                        RxQuota* quota, std::uint16_t cpu_id,
+                                        std::size_t queue, sim::Cycles now);
 
 enum class SteerMode : std::uint8_t {
   ChannelHash,    // RSS-style: demux id picks the queue (default)

@@ -9,14 +9,9 @@ namespace ash::proto {
 ArpService::ArpService(sim::Process& self, net::EthernetDevice& dev,
                        const Config& config)
     : self_(self), dev_(dev), cfg_(config) {
-  // Claim ARP and RARP frames: one filter per ethertype would need two
-  // endpoints; a single masked atom covers both (0x0806 and 0x8035 share
-  // no convenient mask, so install two filters on one... DPF owners are
-  // per-filter, so attach the endpoint with the ARP ethertype and a
-  // second filter for RARP mapping to the same endpoint id is not
-  // supported — instead we match any frame whose ethertype is ARP, and
-  // RARP traffic uses the same ARP ethertype packets with RARP opcodes,
-  // which is what our encode side emits.)
+  // One DPF endpoint on the ARP ethertype. RARP needs no endpoint of its
+  // own: RARP requests and replies ride in ARP-ethertype frames with RARP
+  // opcodes, which is what the encode side emits.
   dpf::Filter f;
   f.atoms = {dpf::atom_be16(12, kEtherTypeArp)};
   endpoint_ = dev.attach(self, std::move(f));
@@ -54,8 +49,9 @@ sim::Sub<void> ArpService::send_packet(const ArpPacket& pkt,
   encode_eth({f, kEthHeaderLen}, eh);
   encode_arp({f + kEthHeaderLen, kArpPacketLen}, pkt);
   co_await self_.syscall(dev_.config().tx_kernel_work);
-  dev_.send_from(frame, static_cast<std::uint32_t>(kEthHeaderLen) +
-                            static_cast<std::uint32_t>(kArpPacketLen));
+  dev_.send_from(endpoint_, frame,
+                 static_cast<std::uint32_t>(kEthHeaderLen) +
+                     static_cast<std::uint32_t>(kArpPacketLen));
 }
 
 sim::Sub<std::optional<ArpPacket>> ArpService::process_one(

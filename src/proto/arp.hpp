@@ -2,7 +2,8 @@
 // the paper's protocol inventory: "ARP/RARP, IP, UDP, TCP, HTTP, and NFS
 // as user-level libraries").
 //
-// The service owns one DPF endpoint matching the ARP and RARP ethertypes.
+// The service owns one DPF endpoint on the ARP ethertype; RARP opcodes
+// ride in ARP-ethertype frames, so it serves both protocols.
 // It answers requests for its own bindings, learns peer bindings from any
 // ARP traffic it sees, and resolves addresses on demand (broadcast
 // request + bounded wait). RARP reverse-resolution is served from a

@@ -116,8 +116,6 @@ struct CostModel {
   Cycles demux_an2 = us(1.0);
   /// Ethernet: per-DPF-node visit cost (compiled engine).
   Cycles dpf_node_cost = us(0.4);
-  /// Ethernet: per-atom cost for the interpreted filter baseline.
-  Cycles dpf_interp_atom_cost = us(1.2);
 };
 
 }  // namespace ash::sim

@@ -159,41 +159,6 @@ TEST(Ethernet, KernelHookSeesStripedBufferAndCanDestripe) {
   EXPECT_TRUE(ok);
 }
 
-TEST(Ethernet, InterpretedDpfCostsMoreThanCompiled) {
-  EthernetConfig slow;
-  slow.compiled_dpf = false;
-  EthernetConfig fast;
-  fast.compiled_dpf = true;
-
-  auto kernel_cycles_for = [&](const EthernetConfig& cfg) {
-    TwoNodes t(cfg);
-    t.b->kernel().spawn("rx", [&](Process& self) -> Task {
-      // 32 endpoints with distinct port filters; traffic hits the last.
-      int last = 0;
-      for (int i = 0; i < 32; ++i) {
-        dpf::Filter f;
-        f.atoms = {dpf::atom_be16(12, 0x0800),
-                   dpf::atom_be16(14, static_cast<std::uint16_t>(i))};
-        last = t.dev_b->attach(self, f);
-      }
-      t.dev_b->supply_buffer(last, self.segment().base, 2048);
-      co_await self.sleep_for(us(30000.0));
-    });
-    t.sim.queue().schedule_at(10, [&] {
-      auto f = frame(0x0800, 100);
-      f[14] = 0;
-      f[15] = 31;  // port 31 -> last endpoint
-      t.dev_a->send(f);
-    });
-    t.sim.run();
-    return t.b->kernel_cycles_total();
-  };
-
-  const auto interp = kernel_cycles_for(slow);
-  const auto compiled = kernel_cycles_for(fast);
-  EXPECT_GT(interp, compiled + sim::us(20.0));
-}
-
 TEST(Ethernet, StripeDestripeMemopsRoundTrip) {
   Simulator sim;
   Node& node = sim.add_node("n");

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "net/an2.hpp"
@@ -14,10 +17,12 @@
 #include "net/ethernet.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
+#include "trace/trace.hpp"
 
 namespace ash::net {
 namespace {
 
+using sim::Cycles;
 using sim::Node;
 using sim::Process;
 using sim::Simulator;
@@ -402,6 +407,219 @@ TEST(FaultDevice, EthernetDropsAtProbOne) {
   sim.run();
   EXPECT_EQ(received, 0);
   EXPECT_EQ(da.fault_counters().drops, 1u);
+}
+
+// ---- One fault schedule, three paths ----
+//
+// The same frame train, under one FaultConfig with every class on, over
+// the AN2 point-to-point, the AN2 through a switch, and the Ethernet. A
+// reference FaultInjector replayed over the train predicts what each
+// receiver gets: which frames (drops, duplicates), which bytes (truncation,
+// corruption) and when — the send time, plus serialization behind earlier
+// frames at the sender's tx_wire_cycles, plus the one-way latency (and the
+// switch hop), plus the injector's delay (reorder, jitter; dup_delay for a
+// duplicate).
+
+struct Sent {
+  Cycles at;
+  std::vector<std::uint8_t> bytes;
+};
+
+struct Arrival {
+  Cycles at;
+  std::vector<std::uint8_t> bytes;
+  auto operator<=>(const Arrival&) const = default;
+};
+
+struct PathRun {
+  std::vector<Arrival> arrivals;  // sorted
+  FaultCounters counters;         // the sender's
+  std::vector<Cycles> wire;       // the sender's tx_wire_cycles per frame
+  Cycles latency = 0;             // one-way latency, plus any switch hop
+};
+
+FaultConfig every_fault() {
+  FaultConfig fc;
+  fc.drop_prob = 0.15;
+  fc.dup_prob = 0.2;
+  fc.reorder_prob = 0.2;
+  fc.corrupt_prob = 0.25;
+  fc.truncate_prob = 0.25;
+  fc.jitter_prob = 0.3;
+  fc.seed = 11;
+  return fc;
+}
+
+/// 48 frames of 1..200 bytes (some under the Ethernet minimum), mostly
+/// back to back so later frames serialize behind earlier ones, with gaps
+/// long enough for the link to idle between bursts.
+std::vector<Sent> frame_train() {
+  const Cycles gaps[] = {0, 0, 0, us(5.0), us(900.0), 0, us(60.0)};
+  std::vector<Sent> train;
+  Cycles at = 10;
+  for (std::size_t i = 0; i < 48; ++i) {
+    train.push_back({at, test_frame(1 + (i * 53) % 200,
+                                    static_cast<std::uint8_t>(i))});
+    at += gaps[i % 7];
+  }
+  return train;
+}
+
+template <typename Device>
+void send_train(Simulator& sim, Device& tx, int channel,
+                const std::vector<Sent>& train, PathRun& run) {
+  for (const Sent& f : train) {
+    run.wire.push_back(
+        tx.tx_wire_cycles(static_cast<std::uint32_t>(f.bytes.size())));
+    sim.queue().schedule_at(f.at, [&tx, channel, &f] {
+      EXPECT_TRUE(tx.send(channel, f.bytes));
+    });
+  }
+}
+
+/// Every arrival on `rx`'s channel `ch`: its time from the receiving
+/// node's FrameArrival events, its bytes from the channel's ring (both in
+/// arrival order).
+std::vector<Arrival> collect(RxPort& rx, Node& n, int ch) {
+  std::vector<Cycles> times;
+  for (const trace::Event& ev : trace::global().events(n.cpu_id())) {
+    if (ev.type == trace::EventType::FrameArrival) times.push_back(ev.time);
+  }
+  std::vector<Arrival> out;
+  while (const auto d = rx.poll(ch)) {
+    const std::uint8_t* p = n.mem(d->addr, d->len);
+    const Cycles at = out.size() < times.size() ? times[out.size()] : 0;
+    out.push_back({at, std::vector<std::uint8_t>(p, p + d->len)});
+  }
+  EXPECT_EQ(out.size(), times.size());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+PathRun run_an2(const FaultConfig& fc, const std::vector<Sent>& train,
+                bool switched) {
+  trace::TracerConfig tc;
+  tc.max_cpus = 2;
+  trace::Session session(tc);
+  Simulator sim;
+  Node& a = sim.add_node("a");
+  Node& b = sim.add_node("b");
+  An2Config cfg;
+  cfg.faults = fc;
+  An2Device tx(a, cfg);
+  An2Device rx(b);
+  An2Switch sw(sim);
+  PathRun run;
+  run.latency = cfg.one_way_latency;
+  if (switched) {
+    sw.add_duplex(sw.attach(tx), 0, sw.attach(rx), 0);
+    run.latency += An2SwitchConfig{}.hop_latency;
+  } else {
+    tx.connect(rx);
+  }
+  int vc = -1;
+  b.kernel().spawn("rx", [&](Process& self) -> Task {
+    vc = rx.bind_vc(self);
+    for (std::uint32_t i = 0; i < 2 * train.size(); ++i) {
+      rx.supply_buffer(vc, self.segment().base + 256 * i, 256);
+    }
+    co_await self.sleep_for(us(1e5));
+  });
+  send_train(sim, tx, 0, train, run);
+  sim.run();
+  run.arrivals = collect(rx, b, vc);
+  run.counters = tx.fault_counters();
+  EXPECT_EQ(rx.drops(), 0u);
+  return run;
+}
+
+PathRun run_ethernet(const FaultConfig& fc, const std::vector<Sent>& train) {
+  trace::TracerConfig tc;
+  tc.max_cpus = 2;
+  trace::Session session(tc);
+  Simulator sim;
+  Node& a = sim.add_node("a");
+  Node& b = sim.add_node("b");
+  EthernetConfig cfg;
+  cfg.faults = fc;
+  EthernetConfig rx_cfg;
+  rx_cfg.rx_buffers = 32;  // the receive pool is not under test here
+  EthernetDevice tx(a, cfg);
+  EthernetDevice rx(b, rx_cfg);
+  tx.connect(rx);
+  PathRun run;
+  run.latency = cfg.one_way_latency;
+  int ep = -1;
+  b.kernel().spawn("rx", [&](Process& self) -> Task {
+    ep = rx.attach(self, dpf::Filter{});  // catch-all
+    for (std::uint32_t i = 0; i < 2 * train.size(); ++i) {
+      rx.supply_buffer(ep, self.segment().base + 2048 * i, 2048);
+    }
+    co_await self.sleep_for(us(1e5));
+  });
+  send_train(sim, tx, ep, train, run);
+  sim.run();
+  run.arrivals = collect(rx, b, ep);
+  run.counters = tx.fault_counters();
+  EXPECT_EQ(rx.drops(), 0u);
+  EXPECT_EQ(rx.unmatched(), 0u);
+  return run;
+}
+
+/// Replay a reference injector over the train; fill `counters` with its.
+std::vector<Arrival> predict(const FaultConfig& fc,
+                             const std::vector<Sent>& train,
+                             const PathRun& run, FaultCounters& counters) {
+  FaultInjector ref(fc);
+  std::vector<Arrival> out;
+  Cycles free_at = 0;
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    free_at = std::max(train[i].at, free_at) + run.wire[i];
+    std::vector<std::uint8_t> bytes = train[i].bytes;
+    const FaultInjector::Decision d = ref.inject(bytes);
+    if (d.drop) continue;
+    const Cycles at = free_at + run.latency + d.extra_delay;
+    if (d.duplicate) out.push_back({at + fc.dup_delay, bytes});
+    out.push_back({at, std::move(bytes)});
+  }
+  counters = ref.counters();
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+auto fields(const FaultCounters& c) {
+  return std::tuple(c.frames, c.drops, c.dups, c.reorders, c.corrupts,
+                    c.truncates, c.jitters);
+}
+
+TEST(FaultDevice, OneScheduleThreePathsMatchTheReferenceInjector) {
+  const FaultConfig fc = every_fault();
+  const std::vector<Sent> train = frame_train();
+  const std::pair<const char*, std::function<PathRun()>> paths[] = {
+      {"an2 point-to-point", [&] { return run_an2(fc, train, false); }},
+      {"an2 switched", [&] { return run_an2(fc, train, true); }},
+      {"ethernet", [&] { return run_ethernet(fc, train); }},
+  };
+  for (const auto& [name, run_path] : paths) {
+    SCOPED_TRACE(name);
+    const PathRun run = run_path();
+    FaultCounters want;
+    const std::vector<Arrival> expected = predict(fc, train, run, want);
+    // Every class fires on this train, so every branch is checked.
+    EXPECT_GT(want.drops, 0u);
+    EXPECT_GT(want.dups, 0u);
+    EXPECT_GT(want.reorders, 0u);
+    EXPECT_GT(want.corrupts, 0u);
+    EXPECT_GT(want.truncates, 0u);
+    EXPECT_GT(want.jitters, 0u);
+    EXPECT_EQ(fields(run.counters), fields(want));
+    EXPECT_EQ(run.arrivals.size(), expected.size());
+    for (std::size_t i = 0;
+         i < std::min(run.arrivals.size(), expected.size()); ++i) {
+      EXPECT_EQ(run.arrivals[i].at, expected[i].at) << "arrival " << i;
+      EXPECT_EQ(run.arrivals[i].bytes, expected[i].bytes) << "arrival " << i;
+    }
+  }
 }
 
 TEST(FaultDevice, An2ZeroLengthMessageDeliversCleanly) {

@@ -42,7 +42,7 @@ struct FakeSink final : RxSink {
   void rx_batch(std::span<const RxFrame>, const KernelCpu&) override {
     ++batches;
   }
-  void rx_drop(const RxFrame& f) override { drop_bufs.push_back(f.buf_addr); }
+  void rx_drop(const RxFrame& f) override { drop_bufs.push_back(f.addr); }
   NicExecResult nic_run(const RxFrame& f, NicExecUnit& u) override {
     ++nic_runs;
     return hooks.at(f.channel)(f, u);
@@ -85,9 +85,8 @@ RxFrame frame(FakeSink& sink, int channel, std::uint32_t buf = 0,
   RxFrame f;
   f.sink = &sink;
   f.channel = channel;
-  f.addr = 0x1000;
+  f.addr = buf;
   f.len = 32;
-  f.buf_addr = buf;
   f.buf_len = 64;
   f.owner = owner;
   return f;

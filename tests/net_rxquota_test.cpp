@@ -26,14 +26,14 @@ using sim::us;
 struct FakeSink final : RxSink {
   std::uint64_t frames = 0;
   std::uint64_t drops = 0;
-  std::vector<std::uint32_t> recycled;  // buf_addr of each dropped frame
+  std::vector<std::uint32_t> recycled;  // addr of each dropped frame
 
   void rx_batch(std::span<const RxFrame> fs, const KernelCpu&) override {
     frames += fs.size();
   }
   void rx_drop(const RxFrame& f) override {
     ++drops;
-    recycled.push_back(f.buf_addr);
+    recycled.push_back(f.addr);
   }
 };
 
@@ -73,12 +73,12 @@ struct FakeQuota final : RxQuota {
 };
 
 RxFrame frame_for(FakeSink& sink, Process* owner, int channel,
-                  std::uint32_t buf_addr = 0) {
+                  std::uint32_t addr = 0) {
   RxFrame f;
   f.sink = &sink;
   f.channel = channel;
   f.owner = owner;
-  f.buf_addr = buf_addr;
+  f.addr = addr;
   f.driver_cycles = 10;
   return f;
 }
@@ -101,7 +101,7 @@ TEST(RxQuotaUnit, QuotaDenyDropsAttributeAndRecycleBuffers) {
   RxQueue q(KernelCpu(n), 0, parked(), /*capacity=*/256, &quota);
 
   for (std::uint32_t i = 0; i < 4; ++i) {
-    q.enqueue(frame_for(sink, &owner, 3, /*buf_addr=*/0x100 + i));
+    q.enqueue(frame_for(sink, &owner, 3, /*addr=*/0x100 + i));
   }
 
   // Frames 3 and 4 were over quota: dropped at enqueue, charged to the
