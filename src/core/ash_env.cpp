@@ -1,6 +1,8 @@
 #include "core/ash_env.hpp"
 
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "core/ash.hpp"
 #include "sim/memops.hpp"
@@ -68,14 +70,7 @@ bool AshEnv::fast_mem(vcode::Env::FastMem* out) {
       clamp(static_cast<std::uint64_t>(cfg_.msg_addr) + cfg_.msg_len);
   // With a plain (unstriped) layout, mem_cycles is exactly one
   // dcache().access() per access, so the engine may inline the model.
-  const sim::Cache::Raw raw = cfg_.node->dcache().raw();
-  out->dtags = raw.tags;
-  out->dline_shift = raw.line_shift;
-  out->dline_mask = raw.index_mask;
-  out->dread_miss_penalty = raw.read_miss_penalty;
-  out->dwrite_cost = raw.write_cost;
-  out->dhits = raw.hits;
-  out->dmisses = raw.misses;
+  out->cache = cfg_.node->dcache().raw();
   return out->mem != nullptr;
 }
 
@@ -141,24 +136,22 @@ bool AshEnv::t_dilp(std::uint32_t id, std::uint32_t src, std::uint32_t dst,
   }
 
   // Persistent exchange through the agreed registers (r48...).
-  std::vector<std::uint32_t> seeds;
   const std::size_t n_persist = ilp->persistents.size();
   if (n_persist > kDilpPersistentMax) {
     *status = 1;
     return true;
   }
+  std::array<std::uint32_t, kDilpPersistentMax> seeds{}, finals{};
   std::uint32_t* outer_regs = regs_;
   if (outer_regs != nullptr) {
     for (std::size_t k = 0; k < n_persist; ++k) {
-      seeds.push_back(outer_regs[kDilpPersistentBase + k]);
+      seeds[k] = outer_regs[kDilpPersistentBase + k];
     }
-  } else {
-    seeds.assign(n_persist, 0);
   }
 
-  std::vector<std::uint32_t> finals;
-  const auto run = cfg_.engine->run(static_cast<int>(id), *this, src, dst,
-                                    len, seeds, &finals);
+  const auto run = cfg_.engine->run(
+      static_cast<int>(id), *this, src, dst, len,
+      std::span(seeds).first(n_persist), std::span(finals).first(n_persist));
   regs_ = outer_regs;  // the nested run rebound the register pointer
   if (!run.ok()) {
     *status = 1;

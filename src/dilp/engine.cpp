@@ -1,5 +1,6 @@
 #include "dilp/engine.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace ash::dilp {
@@ -30,7 +31,7 @@ const vcode::JitBackend* Engine::jit_backend(int id) const noexcept {
 Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
                               std::uint32_t dst, std::uint32_t len,
                               std::span<const std::uint32_t> persistent_in,
-                              std::vector<std::uint32_t>* persistent_out) const {
+                              std::span<std::uint32_t> persistent_out) const {
   RunResult result;
   const CompiledIlp* ilp = get(id);
   if (ilp == nullptr || (len & 3u) != 0) {
@@ -38,6 +39,8 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
     return result;
   }
 
+  const std::size_t n_out =
+      std::min(persistent_out.size(), ilp->persistents.size());
   vcode::ExecLimits limits;
   // Generous static bound: the loop's own length per word plus slack.
   limits.max_insns =
@@ -56,12 +59,8 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
       }
     }
     result.exec = jits_[static_cast<std::size_t>(id)]->run(env, regs, limits);
-    if (persistent_out != nullptr) {
-      persistent_out->clear();
-      persistent_out->reserve(ilp->persistents.size());
-      for (const PersistentBinding& b : ilp->persistents) {
-        persistent_out->push_back(regs[b.loop_reg]);
-      }
+    for (std::size_t i = 0; i < n_out; ++i) {
+      persistent_out[i] = regs[ilp->persistents[i].loop_reg];
     }
     return result;
   }
@@ -73,13 +72,8 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
     interp.set_reg(ilp->persistents[i].loop_reg, seed);
   }
   result.exec = interp.run(limits);
-
-  if (persistent_out != nullptr) {
-    persistent_out->clear();
-    persistent_out->reserve(ilp->persistents.size());
-    for (const PersistentBinding& b : ilp->persistents) {
-      persistent_out->push_back(interp.reg(b.loop_reg));
-    }
+  for (std::size_t i = 0; i < n_out; ++i) {
+    persistent_out[i] = interp.reg(ilp->persistents[i].loop_reg);
   }
   return result;
 }

@@ -53,11 +53,12 @@ class Engine {
   /// Transfer `len` bytes from `src` to `dst` (user virtual addresses in
   /// `env`) through ilp `id`. `persistent_in` seeds the persistent
   /// registers (in CompiledIlp::persistents order; missing entries default
-  /// to 0); `persistent_out`, when non-null, receives their final values.
+  /// to 0); `persistent_out` receives their final values, as many as it
+  /// holds (entries past CompiledIlp::persistents are left alone).
   RunResult run(int id, vcode::Env& env, std::uint32_t src, std::uint32_t dst,
                 std::uint32_t len,
                 std::span<const std::uint32_t> persistent_in = {},
-                std::vector<std::uint32_t>* persistent_out = nullptr) const;
+                std::span<std::uint32_t> persistent_out = {}) const;
 
   /// Ablation knob: which engine executes the loops. Translation always
   /// happens at registration; this only selects the execution path for

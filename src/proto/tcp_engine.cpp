@@ -208,10 +208,9 @@ std::size_t TcpEngine::read(ConnId id, std::uint8_t* out,
   Tcb* t = find(id);
   if (t == nullptr) return 0;
   const std::size_t n = std::min(max_len, t->rcvbuf.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = t->rcvbuf.front();
-    t->rcvbuf.pop_front();
-  }
+  const auto end = t->rcvbuf.begin() + static_cast<std::ptrdiff_t>(n);
+  std::copy(t->rcvbuf.begin(), end, out);
+  t->rcvbuf.erase(t->rcvbuf.begin(), end);
   if (n > 0) {
     FlowHost h(*this, *t);
     t->flow.consumed(h);

@@ -22,60 +22,11 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
 }
 
 Cycles Cache::access(std::uint32_t addr, std::uint32_t len, bool is_write) {
-  Cycles extra = 0;
-  const std::uint32_t first = addr >> shift_;
-  const std::uint32_t last = (addr + (len ? len - 1 : 0)) >> shift_;
-  for (std::uint32_t line = first; line <= last; ++line) {
-    std::uint32_t& slot = tags_[line & index_mask_];
-    if (slot == line + 1) {
-      ++hits_;
-      if (is_write) extra += config_.write_cost;
-      continue;
-    }
-    if (is_write) {
-      // Write-through, no write-allocate: the store goes to memory without
-      // fetching the line.
-      ++misses_;
-      extra += config_.write_cost;
-      continue;
-    }
-    ++misses_;
-    extra += config_.read_miss_penalty;
-    slot = line + 1;
-  }
-  return extra;
+  return util::line_model::access(raw(), addr, len, is_write);
 }
 
 Cycles Cache::stream(std::uint32_t addr, std::uint32_t len, bool is_write) {
-  if (len == 0) return 0;
-  Cycles extra = 0;
-  const std::uint32_t end = addr + len - 1;  // last byte of the run
-  const std::uint32_t first = addr >> shift_;
-  const std::uint32_t last = end >> shift_;
-  const std::uint32_t line_mask = config_.line_bytes - 1;
-  for (std::uint32_t line = first;; ++line) {
-    // The run's words on this line: from the word holding its first byte
-    // here to the word holding its last (offsets from `addr`).
-    const std::uint32_t line_lo = line << shift_;
-    const std::uint32_t lo = (line == first ? addr : line_lo) - addr;
-    const std::uint32_t hi = (line == last ? end : line_lo | line_mask) - addr;
-    const std::uint32_t words = (hi >> 2) - (lo >> 2) + 1;
-    std::uint32_t& slot = tags_[line & index_mask_];
-    if (slot == line + 1) {
-      hits_ += words;
-      if (is_write) extra += config_.write_cost * words;
-    } else if (is_write) {
-      misses_ += words;
-      extra += config_.write_cost * words;
-    } else {
-      ++misses_;  // the first word fills the line; the rest hit
-      hits_ += words - 1;
-      extra += config_.read_miss_penalty;
-      slot = line + 1;
-    }
-    if (line == last) break;
-  }
-  return extra;
+  return util::line_model::stream(raw(), addr, len, is_write);
 }
 
 Cycles Cache::stream_ring(std::uint32_t base, std::uint32_t cap,
@@ -84,18 +35,14 @@ Cycles Cache::stream_ring(std::uint32_t base, std::uint32_t cap,
   // The words that start before the wrap, then the rest, which land as
   // far past the ring start as they would have landed past `cap`.
   const std::uint32_t head = std::min(len, (cap - at + 3) & ~3u);
-  return stream(base + at, head, is_write) +
-         stream(base + (at + head - cap), len - head, is_write);
+  const Cycles first = stream(base + at, head, is_write);
+  return first + stream(base + (at + head - cap), len - head, is_write);
 }
 
 bool Cache::shares_slots(std::uint32_t a, std::uint32_t alen, std::uint32_t b,
                          std::uint32_t blen) const {
-  const std::uint32_t a0 = a >> shift_, b0 = b >> shift_;
-  const std::uint64_t an = ((a + alen - 1) >> shift_) - a0 + 1;
-  const std::uint64_t bn = ((b + blen - 1) >> shift_) - b0 + 1;
-  // Two arcs of the slot circle meet iff one holds the other's start.
-  return an + bn > tags_.size() || ((b0 - a0) & index_mask_) < an ||
-         ((a0 - b0) & index_mask_) < bn;
+  return util::line_model::shares_slots(
+      {.line_shift = shift_, .index_mask = index_mask_}, a, alen, b, blen);
 }
 
 bool Cache::contains(std::uint32_t addr) const {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "util/line_model.hpp"
 
 namespace ash::sim {
 
@@ -83,20 +84,9 @@ class Cache {
   std::uint64_t misses() const noexcept { return misses_; }
 
   /// Raw view of the model's state for engines that inline the access
-  /// accounting (vcode::Env::FastMem). Any inlined copy must reproduce
-  /// access() exactly: line = addr >> line_shift, tag slot = line &
-  /// index_mask, tag value = line + 1 (0 = invalid); read miss = penalty
-  /// + tag fill; write = write_cost, hit or miss, never a fill; counters
-  /// bumped per line touched. The tag array holds index_mask + 1 slots.
-  struct Raw {
-    std::uint32_t* tags;
-    std::uint32_t line_shift;  // log2(line_bytes)
-    std::uint32_t index_mask;  // line count - 1
-    Cycles read_miss_penalty;
-    Cycles write_cost;
-    std::uint64_t* hits;
-    std::uint64_t* misses;
-  };
+  /// accounting (vcode::Env::FastMem): charging through util::line_model
+  /// over it is charging this cache.
+  using Raw = util::CacheView;
   Raw raw() noexcept {
     return {tags_.data(),          shift_,
             index_mask_,           config_.read_miss_penalty,

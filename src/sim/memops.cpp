@@ -8,6 +8,7 @@
 
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
+#include "util/line_model.hpp"
 #include "sim/node.hpp"
 
 namespace ash::sim::memops {
@@ -40,18 +41,11 @@ struct Side {
 /// cache cost of reading `src`'s word and then writing `dst`'s. Then run
 /// `work`, which does the loop's byte work in one go.
 ///
-/// The cache is charged in segments of one `Cache::stream` call per side:
-/// a segment's reads, then its writes. Only reads change tags, and only
-/// in the source's slots, so that equals the interleaved loop as long as
-/// no write sees a tag that a later read of its segment changes:
-///  - when no source line shares a tag slot with a destination line, no
-///    write sees any read's change, and the whole walk is one segment;
-///  - otherwise a segment ends where the source's line ends. Its first
-///    read is then the only one that can change a tag, and it runs before
-///    the first write. A source word straddling two lines is a segment of
-///    its own: read, then write.
-/// A striped side also ends a segment at its chunk edge, where its
-/// addresses jump.
+/// Two plain sides charge through util::line_model::copy, whose comment
+/// gives the segment rule: one stream per side when no source line shares
+/// a tag slot with a destination line, else one segment per source line.
+/// One side is one stream. A striped side walks the same rule here and
+/// also ends a segment at its chunk edge, where its addresses jump.
 template <typename Work>
 Cycles walk(Node& node, std::optional<Side> src, std::optional<Side> dst,
             std::uint32_t len, std::uint32_t insns_per_word, Work work) {
@@ -65,6 +59,11 @@ Cycles walk(Node& node, std::optional<Side> src, std::optional<Side> dst,
   Cache& cache = node.dcache();
   const std::uint32_t line = cache.config().line_bytes;
   Cycles cycles = Cycles{insns_per_word} * ((len + 3) / 4);
+  if (src && dst && src->chunk == 0 && dst->chunk == 0) {
+    cycles += util::line_model::copy(cache.raw(), src->addr, dst->addr, len);
+    work();
+    return cycles;
+  }
   const bool interleave =
       src && dst &&
       cache.shares_slots(src->addr, src->span(len), dst->addr, dst->span(len));
@@ -145,15 +144,7 @@ Cycles cksum(Node& node, std::uint32_t addr, std::uint32_t len,
   const std::uint8_t* p = node.mem(addr, len);
   return walk(node, Side{addr}, std::nullopt, len,
               node.cost().cksum_loop_insns_per_word, [&] {
-                // cksum32_accumulate word by word keeps the sum modulo
-                // 2^32 - 1 and reads 0 only while every input so far is
-                // 0, so one 64-bit sum reduced at the end is bit-identical.
-                std::uint64_t sum = *acc;
-                for_words(p, len, [&](std::uint32_t, std::uint32_t w,
-                                      std::uint32_t) { sum += w; });
-                const std::uint64_t r = sum % 0xffffffffu;
-                *acc = sum == 0 ? 0 : r == 0 ? 0xffffffffu
-                                             : static_cast<std::uint32_t>(r);
+                *acc = util::cksum32_words(p, len, *acc);
               });
 }
 

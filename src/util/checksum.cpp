@@ -1,5 +1,7 @@
 #include "util/checksum.hpp"
 
+#include <cstring>
+
 #include "util/byteorder.hpp"
 
 namespace ash::util {
@@ -20,6 +22,31 @@ std::uint32_t cksum_partial(std::span<const std::uint8_t> data,
   }
   while (sum >> 32) sum = (sum & 0xffffffffu) + (sum >> 32);
   return static_cast<std::uint32_t>(sum);
+}
+
+std::uint32_t cksum32_words(const std::uint8_t* p, std::size_t len,
+                            std::uint32_t acc) noexcept {
+  // Two words per 64-bit load, summed in two lanes: neither lane nor
+  // their total can overflow for fewer than 2^32 words.
+  std::uint64_t lo = 0, hi = 0;
+  std::size_t off = 0;
+  for (; off + 8 <= len; off += 8) {
+    std::uint64_t two;
+    std::memcpy(&two, p + off, 8);
+    lo += two & 0xffffffffu;
+    hi += two >> 32;
+  }
+  std::uint64_t sum = acc + lo + hi;
+  if (off + 4 <= len) {
+    sum += load_u32(p + off);
+    off += 4;
+  }
+  if (off < len) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, p + off, len - off);
+    sum += w;
+  }
+  return cksum32_reduce(sum);
 }
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept {

@@ -7,6 +7,7 @@
 #include "trace/trace.hpp"
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
+#include "util/line_model.hpp"
 #include "vcode/opcodes.hpp"
 
 namespace ash::vcode {
@@ -64,37 +65,13 @@ inline bool in_window(std::uint32_t addr, std::uint32_t len, std::uint32_t lo,
   return addr >= lo && addr < hi && hi - addr >= len;
 }
 
-/// Inlined direct-mapped cache model (sim::Cache::access semantics),
-/// bit-identical to the interpreter's: read miss = penalty + tag fill;
-/// write = write_cost hit or miss, never a fill; counters per line.
-inline std::uint64_t fm_cycles(const Env::FastMem& fm, std::uint32_t addr,
-                               std::uint32_t len, bool is_write) {
-  std::uint64_t extra = 0;
-  const std::uint32_t first = addr >> fm.dline_shift;
-  const std::uint32_t last = (addr + (len - 1)) >> fm.dline_shift;
-  for (std::uint32_t line = first; line <= last; ++line) {
-    const std::uint32_t idx = line & fm.dline_mask;
-    const std::uint32_t tag = line + 1;
-    if (fm.dtags[idx] == tag) {
-      ++*fm.dhits;
-      if (is_write) extra += fm.dwrite_cost;
-      continue;
-    }
-    ++*fm.dmisses;
-    if (is_write) {
-      extra += fm.dwrite_cost;
-      continue;
-    }
-    extra += fm.dread_miss_penalty;
-    fm.dtags[idx] = tag;
-  }
-  return extra;
-}
-
+/// One access's cache cost: through the shared line model over the
+/// environment's raw cache view when it offers one, else mem_cycles.
 inline std::uint64_t mem_dyn(RunCtx& c, std::uint32_t addr, std::uint32_t len,
                              bool is_write) {
-  return c.fm.dtags != nullptr ? fm_cycles(c.fm, addr, len, is_write)
-                               : c.env->mem_cycles(addr, len, is_write);
+  return c.fm.cache.tags != nullptr
+             ? util::line_model::access(c.fm.cache, addr, len, is_write)
+             : c.env->mem_cycles(addr, len, is_write);
 }
 
 /// Finalize the exact counters at op `t` and set a final outcome.
@@ -256,6 +233,55 @@ inline void apply_body(const LoopInfo& L, std::uint32_t* regs) {
     regs[f.a] = v;
     regs[kRegZero] = 0;
   }
+}
+
+/// Run `bytes / 4` iterations of fused loop `L` from `src` to `dst`, both
+/// ranges inside the fast-mem windows, and add their cache cost.
+inline void fused_pass(const LoopInfo& L, RunCtx& c, std::uint32_t src,
+                       std::uint32_t dst, std::uint32_t bytes) {
+  // The loop's cache charge: per word, the source word's read and then
+  // the destination word's write, in order. It does not depend on the
+  // data, so it is made before the words move.
+  if (c.fm.cache.tags != nullptr) {
+    c.res.cycles += util::line_model::copy(c.fm.cache, src, dst, bytes);
+  } else {
+    for (std::uint32_t off = 0; off < bytes; off += 4) {
+      c.res.cycles += c.env->mem_cycles(src + off, 4, /*is_write=*/false);
+      c.res.cycles += c.env->mem_cycles(dst + off, 4, /*is_write=*/true);
+    }
+  }
+  std::uint32_t* const regs = c.regs;
+  const std::uint8_t* const s = c.fm.mem + (src - c.fm.mem_base);
+  std::uint8_t* const d = c.fm.mem + (dst - c.fm.mem_base);
+  if (L.cksum_acc == kRegZero) {
+    for (std::uint32_t off = 0; off < bytes; off += 4) {
+      regs[L.load_reg] = util::load_u32(s + off);
+      regs[kRegZero] = 0;
+      apply_body(L, regs);
+      util::store_u32(d + off, regs[L.store_reg]);
+    }
+    return;
+  }
+  // The checksum pipe: one 64-bit sum reduced once, and one memmove;
+  // word by word where the destination overlaps ahead of the source,
+  // since each load there reads what earlier stores wrote.
+  std::uint32_t& acc = regs[L.cksum_acc];
+  const std::uint32_t ahead = dst - src;
+  if (ahead != 0 && ahead < bytes) {
+    std::uint64_t sum = acc;
+    std::uint32_t w = 0;
+    for (std::uint32_t off = 0; off < bytes; off += 4) {
+      w = util::load_u32(s + off);
+      sum += w;
+      util::store_u32(d + off, w);
+    }
+    acc = util::cksum32_reduce(sum);
+    regs[L.load_reg] = w;
+    return;
+  }
+  acc = util::cksum32_words(s, bytes, acc);
+  regs[L.load_reg] = util::load_u32(s + bytes - 4);
+  std::memmove(d, s, bytes);
 }
 
 /// The computed-goto dispatch loop. The label table below must mirror
@@ -578,8 +604,8 @@ x_FusedLoop: {
   const LoopInfo& L = loops[t->imm];
   const std::uint32_t lenb = regs[L.r_len];
   if (lenb == 0 || (lenb & 3) != 0) NEXT();
-  std::uint32_t src = regs[L.r_src];
-  std::uint32_t dst = regs[L.r_dst];
+  const std::uint32_t src = regs[L.r_src];
+  const std::uint32_t dst = regs[L.r_dst];
   if (!in_window(src, lenb, c.fm.owner_lo, c.fm.owner_hi) &&
       !in_window(src, lenb, c.fm.msg_lo, c.fm.msg_hi)) {
     NEXT();
@@ -593,25 +619,13 @@ x_FusedLoop: {
   if (k_max == 0) NEXT();
   const std::uint64_t iters = lenb / 4u;
   const std::uint64_t k = iters < k_max ? iters : k_max;
-  std::uint64_t dyn = 0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    std::uint32_t w;
-    std::memcpy(&w, c.fm.mem + (src - c.fm.mem_base), 4);
-    dyn += mem_dyn(c, src, 4, /*is_write=*/false);
-    regs[L.load_reg] = w;
-    regs[kRegZero] = 0;
-    apply_body(L, regs);
-    const std::uint32_t v = regs[L.store_reg];
-    std::memcpy(c.fm.mem + (dst - c.fm.mem_base), &v, 4);
-    dyn += mem_dyn(c, dst, 4, /*is_write=*/true);
-    src += 4;
-    dst += 4;
-  }
-  regs[L.r_src] = src;
-  regs[L.r_dst] = dst;
-  regs[L.r_len] = lenb - static_cast<std::uint32_t>(k * 4);
+  const auto bytes = static_cast<std::uint32_t>(k * 4);
+  fused_pass(L, c, src, dst, bytes);
+  regs[L.r_src] = src + bytes;
+  regs[L.r_dst] = dst + bytes;
+  regs[L.r_len] = lenb - bytes;
   c.res.insns += k * L.len;
-  c.res.cycles += k * L.cyc_iter + dyn;
+  c.res.cycles += k * L.cyc_iter;
   if (k == iters) JUMP(L.fall_target);  // last Bne falls through
   HANDOFF(L.start_pc);  // backstop may fire: counters exact at loop head
 }
@@ -785,6 +799,20 @@ bool match_fused_loop(const Program& prog, std::uint32_t s, std::uint32_t e,
   return true;
 }
 
+/// The checksum pipe's body (load w; Cksum32 acc, w; store w), which the
+/// fused loop runs as one native checksum-and-move pass: its accumulator
+/// register, or r0 for any other body.
+std::uint8_t cksum_pass_acc(const LoopInfo& L) {
+  if (L.body.size() != 1 || L.load_reg == kRegZero ||
+      L.store_reg != L.load_reg) {
+    return kRegZero;
+  }
+  const BodyOp& f = L.body[0];
+  const bool ok = f.op == Op::Cksum32 && f.b == L.load_reg &&
+                  f.a != L.load_reg && f.a != kRegZero;
+  return ok ? f.a : kRegZero;
+}
+
 /// Per-superblock constant tracking for the guard folding: bit r of
 /// `known` means regs[r] has the compile-time value val[r] on every path
 /// reaching the current position (superblocks are single-entry and
@@ -908,6 +936,7 @@ void JitBackend::build() {
     LoopInfo loop;
     if (match_fused_loop(prog_, s, e, &loop)) {
       loop.cyc_iter = prefix[len];
+      loop.cksum_acc = cksum_pass_acc(loop);
       meta.loop = static_cast<std::int32_t>(loops_.size());
       EInsn fl;
       fl.op = XOp::FusedLoop;
@@ -1215,8 +1244,9 @@ std::string JitBackend::dump() const {
           const LoopInfo& l = loops_[t.imm];
           std::snprintf(line, sizeof line,
                         "  fused-loop: %u insns/word, body %zu op(s), "
-                        "src=r%u dst=r%u len=r%u\n",
-                        l.len, l.body.size(), l.r_src, l.r_dst, l.r_len);
+                        "src=r%u dst=r%u len=r%u%s\n",
+                        l.len, l.body.size(), l.r_src, l.r_dst, l.r_len,
+                        l.cksum_acc != kRegZero ? ", checksum pass" : "");
           out += line;
           break;
         }

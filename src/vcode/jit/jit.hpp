@@ -21,9 +21,11 @@
 //     atom mask+compare sequences;
 //   - fused DILP pipe chains: a superblock matching the dilp::Compiler
 //     word-loop skeleton (load, register-pure pipe bodies, store, pointer
-//     bumps, back-edge) is additionally lowered to a native single-pass
-//     loop over the message that preserves the exact per-word cache-model
-//     charging and budget semantics.
+//     bumps, back-edge) is additionally lowered to a native single pass
+//     over the message. It charges the cache a line at a time through
+//     util::line_model (the loop's exact per-word charge, in segments) and
+//     keeps the budget semantics; the checksum pipe's body runs as one
+//     native checksum-and-move pass, any other body word by word.
 //
 // Equivalence guarantee: every simulated observable (outcome, insns,
 // cycles, result, abort_code, fault_pc, final registers, final memory,
@@ -145,6 +147,10 @@ class JitBackend {
     std::uint8_t r_src = 0, r_dst = 0, r_len = 0;
     std::uint8_t load_reg = 0, store_reg = 0;
     std::uint32_t fall_target = 0;   // emitted index of the exit guard
+    // The checksum pipe's accumulator when the body is exactly
+    // `Cksum32 acc, load_reg` and the loaded word is stored unchanged: the
+    // pass sums and moves the words natively. r0 = run the body per word.
+    std::uint8_t cksum_acc = 0;
     std::vector<BodyOp> body;
   };
 

@@ -133,9 +133,9 @@ TEST(DilpStriped, FusedLoopReadsStripedSource) {
     sim::Node& n_;
   } env(node);
 
-  std::vector<std::uint32_t> persist;
+  std::vector<std::uint32_t> persist(engine.get(id)->persistents.size());
   const std::uint32_t seed[] = {0};
-  const auto r = engine.run(id, env, 0x1000, 0x3000, 64, seed, &persist);
+  const auto r = engine.run(id, env, 0x1000, 0x3000, 64, seed, persist);
   ASSERT_TRUE(r.ok()) << vcode::to_string(r.exec.outcome);
   const std::uint8_t* out = node.mem(0x3000, 64);
   for (int i = 0; i < 64; ++i) {

@@ -35,9 +35,11 @@ RunOutput run_over(const Engine& engine, int id,
   FlatMemoryEnv env(0x4000);
   std::copy(data.begin(), data.end(), env.memory().begin() + 0x100);
   RunOutput out;
+  const CompiledIlp* ilp = engine.get(id);
+  out.persistents.resize(ilp != nullptr ? ilp->persistents.size() : 0);
   out.result = engine.run(id, env, 0x100, 0x2000,
                           static_cast<std::uint32_t>(data.size()), seed,
-                          &out.persistents);
+                          out.persistents);
   out.dst.assign(env.memory().begin() + 0x2000,
                  env.memory().begin() + 0x2000 + data.size());
   return out;

@@ -133,10 +133,10 @@ TEST_P(StripedFusionEquivalence, MatchesContiguousReference) {
     env.memory()[0x2000 + (i / 16) * 32 + (i % 16)] = logical[i];
   }
 
-  std::vector<std::uint32_t> p1, p2;
-  const auto r1 = engine.run(id_flat, env, 0x800, 0x4000, len, seeds, &p1);
+  std::vector<std::uint32_t> p1(seeds.size()), p2(seeds.size());
+  const auto r1 = engine.run(id_flat, env, 0x800, 0x4000, len, seeds, p1);
   const auto r2 =
-      engine.run(id_striped, env, 0x2000, 0x6000, len, seeds, &p2);
+      engine.run(id_striped, env, 0x2000, 0x6000, len, seeds, p2);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(0, std::memcmp(env.memory().data() + 0x4000,

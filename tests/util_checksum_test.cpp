@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -101,6 +103,35 @@ TEST_P(Cksum32WordProperty, WordAccumulationMatchesByteSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Cksum32WordProperty, ::testing::Range(0, 50));
+
+TEST(Checksum, WordSumEqualsAccumulateWordByWord) {
+  // cksum32_words (one 64-bit sum, reduced once) against the
+  // word-at-a-time fold, over every length 0-67 from every offset 0-3,
+  // on random bytes and on the reduction's edges: all-zero data (the sum
+  // stays 0) and all-ones data (multiples of 2^32 - 1).
+  Rng rng(7);
+  std::vector<std::uint8_t> random(80);
+  for (auto& b : random) b = static_cast<std::uint8_t>(rng.next());
+  std::vector<std::uint8_t> zeros(80, 0), ones(80, 0xff);
+  for (const auto* data : {&random, &zeros, &ones}) {
+    for (const std::uint32_t acc :
+         {0u, 1u, 0xfffffffeu, 0xffffffffu, 0x12345678u}) {
+      for (std::size_t at = 0; at < 4; ++at) {
+        for (std::size_t len = 0; len < 68; ++len) {
+          const std::uint8_t* p = data->data() + at;
+          std::uint32_t want = acc;
+          for (std::size_t off = 0; off < len; off += 4) {
+            std::uint32_t w = 0;
+            std::memcpy(&w, p + off, std::min<std::size_t>(4, len - off));
+            want = cksum32_accumulate(want, w);
+          }
+          ASSERT_EQ(cksum32_words(p, len, acc), want)
+              << "acc " << acc << " at " << at << " len " << len;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ash::util

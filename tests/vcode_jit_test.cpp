@@ -241,9 +241,10 @@ TEST(JitFusedLoop, MatchesDilpCompiledChainExactly) {
 
   auto run_with = [&](vcode::Backend be, FlatEnv& env,
                       std::vector<std::uint32_t>* pers) {
+    pers->resize(engine.get(id)->persistents.size());
     engine.set_backend(be);
     const std::uint32_t seed[] = {0};
-    return engine.run(id, env, src, dst, len, seed, pers);
+    return engine.run(id, env, src, dst, len, seed, *pers);
   };
 
   FlatEnv env_i;
