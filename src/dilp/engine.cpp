@@ -1,6 +1,5 @@
 #include "dilp/engine.hpp"
 
-#include <algorithm>
 #include <array>
 
 namespace ash::dilp {
@@ -34,13 +33,13 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
                               std::span<std::uint32_t> persistent_out) const {
   RunResult result;
   const CompiledIlp* ilp = get(id);
-  if (ilp == nullptr || (len & 3u) != 0) {
+  if (ilp == nullptr || (len & 3u) != 0 ||
+      (!persistent_out.empty() &&
+       persistent_out.size() != ilp->persistents.size())) {
     result.invalid_args = true;
     return result;
   }
 
-  const std::size_t n_out =
-      std::min(persistent_out.size(), ilp->persistents.size());
   vcode::ExecLimits limits;
   // Generous static bound: the loop's own length per word plus slack.
   limits.max_insns =
@@ -59,7 +58,7 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
       }
     }
     result.exec = jits_[static_cast<std::size_t>(id)]->run(env, regs, limits);
-    for (std::size_t i = 0; i < n_out; ++i) {
+    for (std::size_t i = 0; i < persistent_out.size(); ++i) {
       persistent_out[i] = regs[ilp->persistents[i].loop_reg];
     }
     return result;
@@ -72,7 +71,7 @@ Engine::RunResult Engine::run(int id, vcode::Env& env, std::uint32_t src,
     interp.set_reg(ilp->persistents[i].loop_reg, seed);
   }
   result.exec = interp.run(limits);
-  for (std::size_t i = 0; i < n_out; ++i) {
+  for (std::size_t i = 0; i < persistent_out.size(); ++i) {
     persistent_out[i] = interp.reg(ilp->persistents[i].loop_reg);
   }
   return result;

@@ -45,7 +45,9 @@ class Engine {
   std::size_t size() const noexcept { return ilps_.size(); }
 
   struct RunResult {
-    bool invalid_args = false;      // bad id or length not a multiple of 4
+    // Bad id, length not a multiple of 4, or a persistent_out of the
+    // wrong size.
+    bool invalid_args = false;
     vcode::ExecResult exec;         // outcome/cycles/insns of the fused loop
     bool ok() const noexcept { return !invalid_args && exec.ok(); }
   };
@@ -53,8 +55,8 @@ class Engine {
   /// Transfer `len` bytes from `src` to `dst` (user virtual addresses in
   /// `env`) through ilp `id`. `persistent_in` seeds the persistent
   /// registers (in CompiledIlp::persistents order; missing entries default
-  /// to 0); `persistent_out` receives their final values, as many as it
-  /// holds (entries past CompiledIlp::persistents are left alone).
+  /// to 0); `persistent_out`, when not empty, receives their final values
+  /// and must hold exactly one entry per persistent.
   RunResult run(int id, vcode::Env& env, std::uint32_t src, std::uint32_t dst,
                 std::uint32_t len,
                 std::span<const std::uint32_t> persistent_in = {},

@@ -41,11 +41,11 @@ struct Side {
 /// cache cost of reading `src`'s word and then writing `dst`'s. Then run
 /// `work`, which does the loop's byte work in one go.
 ///
-/// Two plain sides charge through util::line_model::copy, whose comment
-/// gives the segment rule: one stream per side when no source line shares
-/// a tag slot with a destination line, else one segment per source line.
-/// One side is one stream. A striped side walks the same rule here and
-/// also ends a segment at its chunk edge, where its addresses jump.
+/// The charge goes one run at a time. A run ends only at a striped side's
+/// chunk edge, where its addresses jump, so a plain walk is one run. A
+/// run's words sit at consecutive addresses on each side, so it charges
+/// exactly through util::line_model: `copy` for two sides (its comment
+/// gives the segment rule), `stream` for one.
 template <typename Work>
 Cycles walk(Node& node, std::optional<Side> src, std::optional<Side> dst,
             std::uint32_t len, std::uint32_t insns_per_word, Work work) {
@@ -56,30 +56,19 @@ Cycles walk(Node& node, std::optional<Side> src, std::optional<Side> dst,
   if (dst && node.mem(dst->addr, dst->span(len)) == nullptr) {
     throw std::out_of_range("memops: destination out of bounds");
   }
-  Cache& cache = node.dcache();
-  const std::uint32_t line = cache.config().line_bytes;
+  const util::CacheView cache = node.dcache().raw();
   Cycles cycles = Cycles{insns_per_word} * ((len + 3) / 4);
-  if (src && dst && src->chunk == 0 && dst->chunk == 0) {
-    cycles += util::line_model::copy(cache.raw(), src->addr, dst->addr, len);
-    work();
-    return cycles;
-  }
-  const bool interleave =
-      src && dst &&
-      cache.shares_slots(src->addr, src->span(len), dst->addr, dst->span(len));
   for (std::uint32_t off = 0; off < len;) {
-    const std::uint32_t rest = len - off;
-    std::uint32_t room = rest;
-    if (src) room = std::min(room, src->run(off));
-    if (dst) room = std::min(room, dst->run(off));
-    if (interleave) {
-      const std::uint32_t at = src->addr + src->pos(off);
-      room = std::min(room, line - (at & (line - 1)));
+    std::uint32_t n = len - off;
+    if (src) n = std::min(n, src->run(off));
+    if (dst) n = std::min(n, dst->run(off));
+    const std::uint32_t s = src ? src->addr + src->pos(off) : 0;
+    const std::uint32_t d = dst ? dst->addr + dst->pos(off) : 0;
+    if (src && dst) {
+      cycles += util::line_model::copy(cache, s, d, n);
+    } else {
+      cycles += util::line_model::stream(cache, src ? s : d, n, !src);
     }
-    const std::uint32_t n =
-        room == rest ? rest : std::max(room & ~3u, std::min(4u, rest));
-    if (src) cycles += cache.stream(src->addr + src->pos(off), n, false);
-    if (dst) cycles += cache.stream(dst->addr + dst->pos(off), n, true);
     off += n;
   }
   work();

@@ -26,27 +26,20 @@ std::uint32_t cksum_partial(std::span<const std::uint8_t> data,
 
 std::uint32_t cksum32_words(const std::uint8_t* p, std::size_t len,
                             std::uint32_t acc) noexcept {
-  // Two words per 64-bit load, summed in two lanes: neither lane nor
-  // their total can overflow for fewer than 2^32 words.
-  std::uint64_t lo = 0, hi = 0;
+  // cksum32_accumulate word by word keeps the sum modulo 2^32 - 1 and
+  // reads 0 only while every input so far is 0, so one 64-bit sum reduced
+  // at the end is bit-identical (it cannot overflow for fewer than 2^32
+  // words).
+  std::uint64_t sum = acc;
   std::size_t off = 0;
-  for (; off + 8 <= len; off += 8) {
-    std::uint64_t two;
-    std::memcpy(&two, p + off, 8);
-    lo += two & 0xffffffffu;
-    hi += two >> 32;
-  }
-  std::uint64_t sum = acc + lo + hi;
-  if (off + 4 <= len) {
-    sum += load_u32(p + off);
-    off += 4;
-  }
+  for (; off + 4 <= len; off += 4) sum += load_u32(p + off);
   if (off < len) {
     std::uint32_t w = 0;
     std::memcpy(&w, p + off, len - off);
     sum += w;
   }
-  return cksum32_reduce(sum);
+  const std::uint64_t r = sum % 0xffffffffu;
+  return sum == 0 ? 0 : r == 0 ? 0xffffffffu : static_cast<std::uint32_t>(r);
 }
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept {

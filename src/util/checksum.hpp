@@ -23,16 +23,6 @@ constexpr std::uint32_t cksum32_accumulate(std::uint32_t acc,
   return static_cast<std::uint32_t>((sum & 0xffffffffu) + (sum >> 32));
 }
 
-/// Reduce `sum`, an accumulator plus words added in 64 bits, to what
-/// cksum32_accumulate word by word would hold. That fold keeps the sum
-/// modulo 2^32 - 1 and reads 0 only while every input so far is 0, so the
-/// reduction is bit-identical (the 64-bit sum cannot overflow for fewer
-/// than 2^32 words).
-constexpr std::uint32_t cksum32_reduce(std::uint64_t sum) noexcept {
-  const std::uint64_t r = sum % 0xffffffffu;
-  return sum == 0 ? 0 : r == 0 ? 0xffffffffu : static_cast<std::uint32_t>(r);
-}
-
 /// cksum32_accumulate over the little-endian 32-bit words of `len` bytes
 /// at `p` (a short tail zero-padded), starting from `acc`: one 64-bit
 /// sum, reduced once.

@@ -253,7 +253,10 @@ inline void fused_pass(const LoopInfo& L, RunCtx& c, std::uint32_t src,
   std::uint32_t* const regs = c.regs;
   const std::uint8_t* const s = c.fm.mem + (src - c.fm.mem_base);
   std::uint8_t* const d = c.fm.mem + (dst - c.fm.mem_base);
-  if (L.cksum_acc == kRegZero) {
+  // Where the destination overlaps ahead of the source, each load reads
+  // what earlier stores wrote, so the words go one at a time.
+  const std::uint32_t ahead = dst - src;
+  if (L.cksum_acc == kRegZero || (ahead != 0 && ahead < bytes)) {
     for (std::uint32_t off = 0; off < bytes; off += 4) {
       regs[L.load_reg] = util::load_u32(s + off);
       regs[kRegZero] = 0;
@@ -262,24 +265,8 @@ inline void fused_pass(const LoopInfo& L, RunCtx& c, std::uint32_t src,
     }
     return;
   }
-  // The checksum pipe: one 64-bit sum reduced once, and one memmove;
-  // word by word where the destination overlaps ahead of the source,
-  // since each load there reads what earlier stores wrote.
-  std::uint32_t& acc = regs[L.cksum_acc];
-  const std::uint32_t ahead = dst - src;
-  if (ahead != 0 && ahead < bytes) {
-    std::uint64_t sum = acc;
-    std::uint32_t w = 0;
-    for (std::uint32_t off = 0; off < bytes; off += 4) {
-      w = util::load_u32(s + off);
-      sum += w;
-      util::store_u32(d + off, w);
-    }
-    acc = util::cksum32_reduce(sum);
-    regs[L.load_reg] = w;
-    return;
-  }
-  acc = util::cksum32_words(s, bytes, acc);
+  // The checksum pipe: one 64-bit sum reduced once, and one memmove.
+  regs[L.cksum_acc] = util::cksum32_words(s, bytes, regs[L.cksum_acc]);
   regs[L.load_reg] = util::load_u32(s + bytes - 4);
   std::memmove(d, s, bytes);
 }

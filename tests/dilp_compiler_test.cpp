@@ -251,6 +251,22 @@ TEST(Engine, RejectsUnknownId) {
   EXPECT_TRUE(engine.run(42, env, 0, 0, 4).invalid_args);
 }
 
+TEST(Engine, RejectsPersistentOutOfTheWrongSize) {
+  PipeList pl;
+  pl.add(make_cksum_pipe(nullptr));
+  Engine engine;
+  std::string error;
+  const int id = engine.register_ilp(pl, Direction::Write, &error);
+  ASSERT_GE(id, 0);
+  ASSERT_EQ(engine.get(id)->persistents.size(), 1u);
+  FlatMemoryEnv env(0x1000);
+  std::uint32_t out[2] = {7, 7};
+  EXPECT_TRUE(engine.run(id, env, 0, 0x100, 4, {}, out).invalid_args);
+  EXPECT_EQ(out[0], 7u);
+  EXPECT_TRUE(engine.run(id, env, 0, 0x100, 4, {}, {}).ok());
+  EXPECT_TRUE(engine.run(id, env, 0, 0x100, 4, {}, std::span(out, 1)).ok());
+}
+
 TEST(Engine, FaultsOnOutOfBoundsTransfer) {
   PipeList pl;
   Engine engine;

@@ -8,7 +8,8 @@
 // runs through memops on one node and through the oracle on a twin node
 // with the same geometry, memory and cache state. Cycles, hits, misses,
 // every tag, every byte of node memory and the checksum accumulator must
-// match after every call. Geometries (256 B-64 KB, 4-64 B lines),
+// match after every call. Geometries (256 B-64 KB; 4-64 B lines, and
+// 1-2 B lines, where every word straddles lines, in SubWordLines),
 // addresses, lengths, alignments, stripe chunks, direct-mapped aliasing
 // between source and destination, and overlap in both directions are
 // drawn at random.
@@ -224,9 +225,10 @@ Cycles run_oracle(Node& node, Call& c) {
 
 // ------------------------------------------------------------ generation
 
-CacheConfig draw_geometry(util::Rng& rng) {
+CacheConfig draw_geometry(util::Rng& rng, bool sub_word = false) {
   CacheConfig g;
-  g.line_bytes = 4u << rng.below(5);     // 4..64 B
+  g.line_bytes = sub_word ? 1u << rng.below(2)  // 1..2 B
+                          : 4u << rng.below(5);  // 4..64 B
   g.size_bytes = 256u << rng.below(9);   // 256 B..64 KB
   if (g.size_bytes < g.line_bytes) g.size_bytes = g.line_bytes;
   g.read_miss_penalty = rng.range(1, 20);
@@ -237,9 +239,10 @@ CacheConfig draw_geometry(util::Rng& rng) {
 std::uint32_t draw_len(util::Rng& rng, std::uint32_t line) {
   switch (rng.below(4)) {
     case 0: return static_cast<std::uint32_t>(rng.below(10));  // 0..9
-    case 1:  // around a line multiple
-      return static_cast<std::uint32_t>(
-          line * rng.range(1, 8) + rng.range(0, 8) - 4);
+    case 1: {  // around a line multiple, but not below 0 (1-2 B lines)
+      const std::uint64_t n = line * rng.range(1, 8) + rng.range(0, 8);
+      return static_cast<std::uint32_t>(n < 4 ? 0 : n - 4);
+    }
     default: return static_cast<std::uint32_t>(rng.range(10, 4096));
   }
 }
@@ -327,12 +330,12 @@ Call draw_call(util::Rng& rng, Op op, const CacheConfig& g) {
 /// drawn from `ops` through memops and through the oracle on twin nodes,
 /// checking the twins stay identical after every call.
 void run_diff(std::uint64_t seed, std::vector<Op> ops, int geometries,
-              int calls) {
+              int calls, bool sub_word = false) {
   util::Rng rng(seed);
   for (int gi = 0; gi < geometries; ++gi) {
     NodeConfig cfg;
     cfg.memory_bytes = kMem;
-    cfg.cache = draw_geometry(rng);
+    cfg.cache = draw_geometry(rng, sub_word);
     Simulator sim;
     Node& line = sim.add_node("line", cfg);
     Node& word = sim.add_node("word", cfg);
@@ -412,6 +415,11 @@ TEST(MemOpsDiff, Stripe) { run_diff(9, {Op::Stripe}, kGeometries, kCalls); }
 TEST(MemOpsDiff, MixedOpsOnOneCacheState) {
   run_diff(10, {std::begin(kAllOps), std::end(kAllOps)}, kGeometries,
            2 * kCalls);
+}
+
+TEST(MemOpsDiff, SubWordLines) {
+  run_diff(11, {std::begin(kAllOps), std::end(kAllOps)}, kGeometries,
+           kCalls, /*sub_word=*/true);
 }
 
 TEST(MemOpsDiff, StreamRingEqualsWrappedWordLoop) {
