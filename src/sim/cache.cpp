@@ -39,12 +39,6 @@ Cycles Cache::stream_ring(std::uint32_t base, std::uint32_t cap,
   return first + stream(base + (at + head - cap), len - head, is_write);
 }
 
-bool Cache::shares_slots(std::uint32_t a, std::uint32_t alen, std::uint32_t b,
-                         std::uint32_t blen) const {
-  return util::line_model::shares_slots(
-      {.line_shift = shift_, .index_mask = index_mask_}, a, alen, b, blen);
-}
-
 bool Cache::contains(std::uint32_t addr) const {
   const std::uint32_t line = addr >> shift_;
   return tags_[line & index_mask_] == line + 1;

@@ -59,11 +59,6 @@ class Cache {
   Cycles stream_ring(std::uint32_t base, std::uint32_t cap, std::uint32_t at,
                      std::uint32_t len, bool is_write);
 
-  /// True if some line of [a, a+alen) and some line of [b, b+blen) map to
-  /// the same tag slot (both lengths nonzero).
-  bool shares_slots(std::uint32_t a, std::uint32_t alen, std::uint32_t b,
-                    std::uint32_t blen) const;
-
   /// True if the line containing `addr` is resident.
   bool contains(std::uint32_t addr) const;
 

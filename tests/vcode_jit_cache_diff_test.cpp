@@ -26,6 +26,7 @@
 #include "dilp/pipe.hpp"
 #include "dilp/stdpipes.hpp"
 #include "sim/cache.hpp"
+#include "util/line_model.hpp"
 #include "util/rng.hpp"
 #include "vcode/interp.hpp"
 #include "vcode/jit/jit.hpp"
@@ -225,7 +226,7 @@ struct Coverage {
   int handoff = 0;  // the backstop stops the loop part way
 
   void count(const Case& c, std::uint32_t insns_per_word,
-             const sim::Cache& cache) {
+             sim::Cache& cache) {
     const bool src_ok = inside(c.src, c.len, kBase, kOwnerHi) ||
                         inside(c.src, c.len, kOwnerHi, kMsgHi);
     if (c.len == 0 || c.limits.max_cycles != 0 || !src_ok ||
@@ -233,7 +234,8 @@ struct Coverage {
       return;
     }
     ++native;
-    aliased += cache.shares_slots(c.src, c.len, c.dst, c.len);
+    aliased +=
+        util::line_model::shares_slots(cache.raw(), c.src, c.len, c.dst, c.len);
     same += c.dst == c.src;
     ahead += c.dst > c.src && c.dst < c.src + c.len;
     behind += c.dst < c.src && c.src < c.dst + c.len;
