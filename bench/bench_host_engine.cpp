@@ -6,8 +6,10 @@
 //  * Table VI's TCP receive fast path, replayed on a real committing
 //    invocation captured from a live simulated transfer (header
 //    prediction hit, fused checksum+copy DILP, ACK template patch+send),
-//  * the fused DILP pipe chain (checksum + byteswap + copy) standalone,
-//    where the JIT collapses the whole loop into one host pass.
+//  * the fused DILP pipe chain (checksum + byteswap + copy) standalone
+//    over memory that charges a sim::Cache and offers its raw view, as
+//    AshEnv does: the JIT's fused loop charges the run a line at a time,
+//    then applies the body word by word.
 //
 // Simulated results (outcome, cycles, insns, registers) are bit-identical
 // on both paths — asserted at setup — so this measures only how fast
@@ -37,6 +39,7 @@
 #include "dilp/engine.hpp"
 #include "dilp/stdpipes.hpp"
 #include "proto/an2_link.hpp"
+#include "sim/cache.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
 #include "util/byteorder.hpp"
@@ -362,12 +365,35 @@ void BM_RemoteIncrement(benchmark::State& state, Backend be) {
 
 // ---------------------------------------------- fused DILP chain ----------
 
+/// Flat memory charging a node-geometry sim::Cache, which fast_mem offers
+/// as a raw view the way AshEnv does: the interpreter charges each access
+/// through mem_cycles, the JIT's fused loop charges runs over the view.
+class CachedFlatEnv : public vcode::FlatMemoryEnv {
+ public:
+  using FlatMemoryEnv::FlatMemoryEnv;
+
+  sim::Cache& cache() noexcept { return cache_; }
+
+  std::uint64_t mem_cycles(std::uint32_t addr, std::uint32_t len,
+                           bool is_write) override {
+    return cache_.access(addr, len, is_write);
+  }
+  bool fast_mem(FastMem* out) override {
+    if (!FlatMemoryEnv::fast_mem(out)) return false;
+    out->cache = cache_.raw();
+    return true;
+  }
+
+ private:
+  sim::Cache cache_;
+};
+
 /// The checksum + byteswap + copy pipe chain standalone over a 4 KiB
-/// message: the workload where the JIT's fused single-pass loop shows the
-/// largest win over per-template dispatch.
+/// message: a fused loop whose body the native checksum pass does not
+/// take.
 struct DilpFixture {
   dilp::Engine engine;
-  vcode::FlatMemoryEnv env{1 << 20};
+  CachedFlatEnv env{1 << 20};
   int id = -1;
   std::uint32_t src = 0x1000, dst = 0x40000, len = 4096;
   std::uint64_t sim_insns = 0;
@@ -375,6 +401,7 @@ struct DilpFixture {
 };
 
 vcode::ExecResult dilp_run(DilpFixture& f, Backend be) {
+  f.env.cache().flush_all();  // every run starts cold, on either engine
   f.engine.set_backend(be);
   const auto r = f.engine.run(f.id, f.env, f.src, f.dst, f.len);
   return r.exec;

@@ -9,6 +9,7 @@ TimerWheel::TimerWheel(Cycles granularity, std::size_t buckets)
       buckets_(buckets == 0 ? 1 : buckets) {}
 
 void TimerWheel::place(Entry e) {
+  placed_ = true;
   std::uint64_t tick = tick_of(e.deadline);
   if (tick < cursor_tick_) tick = cursor_tick_;  // past-due: next advance fires it
   if (!in_horizon(tick)) {
@@ -31,9 +32,13 @@ bool TimerWheel::cancel(Id id) {
 
 std::optional<Cycles> TimerWheel::next_deadline() {
   if (live_.empty()) {
-    // Nothing armed: reclaim all tombstones in one sweep.
-    for (auto& b : buckets_) b.clear();
-    overflow_.clear();
+    // Nothing armed: reclaim all tombstones in one sweep, unless nothing
+    // was placed since the last one.
+    if (placed_) {
+      for (auto& b : buckets_) b.clear();
+      overflow_.clear();
+      placed_ = false;
+    }
     return std::nullopt;
   }
   const std::size_t n = buckets_.size();

@@ -49,7 +49,8 @@ class TimerWheel {
   std::size_t size() const noexcept { return live_.size(); }
 
   /// Earliest live deadline, or nullopt when nothing is armed. Compacts
-  /// tombstones out of the buckets it scans.
+  /// tombstones out of the buckets it scans; with nothing armed, it sweeps
+  /// the whole wheel only if an entry was placed since the last sweep.
   std::optional<Cycles> next_deadline();
 
   /// Expire every live timer with deadline <= now into `out` (ascending
@@ -75,6 +76,7 @@ class TimerWheel {
   std::unordered_map<Id, Cycles> live_;
   Id next_id_ = 1;
   std::uint64_t cursor_tick_ = 0;  // ticks below this are fully drained
+  bool placed_ = false;  // entries may remain since the last idle sweep
 };
 
 }  // namespace ash::sim

@@ -111,9 +111,9 @@ constexpr bool jmem_store(Op m) {
   return m == Op::Sw || m == Op::Sh || m == Op::Sb || m == Op::Sw_u;
 }
 
-/// Load/store template: alignment check (unless the lowering folded it),
-/// inlined fast-mem window checks with the virtual-Env fallback, cache
-/// model charge, post-dynamic re-check. Returns false on any exit.
+/// Load/store template: alignment check, inlined fast-mem window checks
+/// with the virtual-Env fallback, cache model charge, post-dynamic
+/// re-check. Returns false on any exit.
 template <Op M>
 inline bool mem_do(const EInsn* t, RunCtx& c) {
   const std::uint32_t addr = c.regs[t->b] + t->imm;
@@ -288,7 +288,6 @@ void exec(const EInsn* code, const std::uint32_t* entry_of,
       &&x_Sltu, &&x_Slt, &&x_Fadd, &&x_Fmul,
       &&x_Lw, &&x_Lhu, &&x_Lh, &&x_Lbu, &&x_Lb, &&x_LwU,
       &&x_Sw, &&x_Sh, &&x_Sb, &&x_SwU,
-      &&x_AlignFault,
       &&x_Cksum32, &&x_Bswap32, &&x_Bswap16,
       &&x_Pin, &&x_Pout,
       &&x_TMsgLen, &&x_TSend, &&x_TDilp, &&x_TUserCopy, &&x_TMsgLoad,
@@ -505,9 +504,6 @@ x_Sw: MEM(Op::Sw);
 x_Sh: MEM(Op::Sh);
 x_Sb: MEM(Op::Sb);
 x_SwU: MEM(Op::Sw_u);
-
-x_AlignFault:
-  FAULT(Outcome::AlignFault);
 
 x_Cksum32: ALU(util::cksum32_accumulate(regs[t->a], regs[t->b]));
 x_Bswap32: ALU(util::bswap32(regs[t->b]));
@@ -800,83 +796,6 @@ std::uint8_t cksum_pass_acc(const LoopInfo& L) {
   return ok ? f.a : kRegZero;
 }
 
-/// Per-superblock constant tracking for the guard folding: bit r of
-/// `known` means regs[r] has the compile-time value val[r] on every path
-/// reaching the current position (superblocks are single-entry and
-/// straight-line, so fall-through dataflow is exact). Trusted calls and
-/// pipe I/O may exchange values through the bound register file, so they
-/// invalidate everything; r0 is always known zero.
-struct ConstState {
-  std::uint64_t known = 1;  // bit 0: r0 == 0
-  std::array<std::uint32_t, kNumRegs> val{};
-
-  bool knows(std::uint8_t r) const { return (known >> r) & 1u; }
-  void reset() { known = 1; }
-  void set(std::uint8_t r, std::uint32_t v) {
-    if (r == kRegZero) return;
-    known |= 1ull << r;
-    val[r] = v;
-  }
-  void kill(std::uint8_t r) {
-    if (r == kRegZero) return;
-    known &= ~(1ull << r);
-  }
-
-  void update(const Insn& f) {
-    if (!valid_op(static_cast<std::uint8_t>(f.op))) return;
-    const OpInfo& info = op_info(f.op);
-    if (info.is_trusted || f.op == Op::Pin8 || f.op == Op::Pin16 ||
-        f.op == Op::Pin32 || f.op == Op::Pout8 || f.op == Op::Pout16 ||
-        f.op == Op::Pout32) {
-      reset();
-      return;
-    }
-    switch (f.op) {
-      case Op::Movi: set(f.a, f.imm); return;
-      case Op::Mov:
-        knows(f.b) ? set(f.a, val[f.b]) : kill(f.a);
-        return;
-      case Op::Addiu:
-        knows(f.b) ? set(f.a, val[f.b] + f.imm) : kill(f.a);
-        return;
-      case Op::Andi:
-        knows(f.b) ? set(f.a, val[f.b] & f.imm) : kill(f.a);
-        return;
-      case Op::Ori:
-        knows(f.b) ? set(f.a, val[f.b] | f.imm) : kill(f.a);
-        return;
-      case Op::Xori:
-        knows(f.b) ? set(f.a, val[f.b] ^ f.imm) : kill(f.a);
-        return;
-      case Op::Slli:
-        knows(f.b) ? set(f.a, val[f.b] << (f.imm & 31)) : kill(f.a);
-        return;
-      case Op::Srli:
-        knows(f.b) ? set(f.a, val[f.b] >> (f.imm & 31)) : kill(f.a);
-        return;
-      default:
-        break;
-    }
-    if (info.writes_a) kill(f.a);
-  }
-};
-
-/// Statically evaluated branch condition; only called with both operands
-/// known.
-bool branch_taken(Op op, std::uint32_t a, std::uint32_t b) {
-  switch (op) {
-    case Op::Beq: return a == b;
-    case Op::Bne: return a != b;
-    case Op::Bltu: return a < b;
-    case Op::Bgeu: return a >= b;
-    case Op::Blt:
-      return static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b);
-    case Op::Bge:
-      return static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b);
-    default: return false;
-  }
-}
-
 }  // namespace
 
 JitBackend::JitBackend(const Program& prog) : prog_(prog), jt_(prog_) {
@@ -902,7 +821,6 @@ void JitBackend::build() {
   entry_of_.assign(static_cast<std::size_t>(n) + 1, kNoTarget);
 
   std::vector<std::uint32_t> prefix;
-  ConstState cs;
   for (std::uint32_t s = 0; s < n;) {
     std::uint32_t e = s + 1;
     while (e < n && !leader[e]) ++e;
@@ -942,7 +860,6 @@ void JitBackend::build() {
     guard.pc = s;
     code_.push_back(guard);
 
-    cs.reset();
     for (std::uint32_t j = s; j < e; ++j) {
       const Insn& f = prog_.insns[j];
       const std::uint32_t k = j - s;
@@ -978,29 +895,15 @@ void JitBackend::build() {
         case Op::Bgeu:
         case Op::Blt:
         case Op::Bge:
-          if (cs.knows(f.a) && cs.knows(f.b)) {
-            // Constant-folded branch guard (the DPF-atom mask+compare
-            // shape): the outcome is known at lowering time. Costs and
-            // fault semantics are unchanged — an always-taken branch
-            // becomes a direct jump, a never-taken one a fall-through.
-            ++folded_;
-            if (branch_taken(f.op, cs.val[f.a], cs.val[f.b])) {
-              ti.op = XOp::Jmp;
-              fixups.push_back({code_.size(), f.imm, false});
-            } else {
-              ti.op = XOp::Nop;
-            }
-          } else {
-            switch (f.op) {
-              case Op::Beq: ti.op = XOp::Beq; break;
-              case Op::Bne: ti.op = XOp::Bne; break;
-              case Op::Bltu: ti.op = XOp::Bltu; break;
-              case Op::Bgeu: ti.op = XOp::Bgeu; break;
-              case Op::Blt: ti.op = XOp::Blt; break;
-              default: ti.op = XOp::Bge; break;
-            }
-            fixups.push_back({code_.size(), f.imm, false});
+          switch (f.op) {
+            case Op::Beq: ti.op = XOp::Beq; break;
+            case Op::Bne: ti.op = XOp::Bne; break;
+            case Op::Bltu: ti.op = XOp::Bltu; break;
+            case Op::Bgeu: ti.op = XOp::Bgeu; break;
+            case Op::Blt: ti.op = XOp::Blt; break;
+            default: ti.op = XOp::Bge; break;
           }
+          fixups.push_back({code_.size(), f.imm, false});
           break;
         case Op::Budget: ti.op = XOp::Budget; break;
         case Op::Movi: ti.op = XOp::Movi; break;
@@ -1029,45 +932,16 @@ void JitBackend::build() {
         case Op::Slt: ti.op = XOp::Slt; break;
         case Op::Fadd: ti.op = XOp::Fadd; break;
         case Op::Fmul: ti.op = XOp::Fmul; break;
-        case Op::Lw:
-          // Constant-folded alignment guard: a provably aligned word
-          // access lowers to the unaligned-form template (identical
-          // semantics once aligned); a provably misaligned one lowers to
-          // a pre-faulted slot that still charges exactly.
-          if (cs.knows(f.b)) {
-            ++folded_;
-            ti.op = ((cs.val[f.b] + f.imm) & 3u) != 0 ? XOp::AlignFault
-                                                      : XOp::LwU;
-          } else {
-            ti.op = XOp::Lw;
-          }
-          break;
-        case Op::Sw:
-          if (cs.knows(f.b)) {
-            ++folded_;
-            ti.op = ((cs.val[f.b] + f.imm) & 3u) != 0 ? XOp::AlignFault
-                                                      : XOp::SwU;
-          } else {
-            ti.op = XOp::Sw;
-          }
-          break;
-        case Op::Lhu:
-        case Op::Lh:
-        case Op::Sh:
-          if (cs.knows(f.b) && ((cs.val[f.b] + f.imm) & 1u) != 0) {
-            ++folded_;
-            ti.op = XOp::AlignFault;
-          } else {
-            ti.op = f.op == Op::Lhu ? XOp::Lhu
-                    : f.op == Op::Lh ? XOp::Lh
-                                     : XOp::Sh;
-          }
-          break;
+        case Op::Lw: ti.op = XOp::Lw; break;
+        case Op::Lhu: ti.op = XOp::Lhu; break;
+        case Op::Lh: ti.op = XOp::Lh; break;
         case Op::Lbu: ti.op = XOp::Lbu; break;
         case Op::Lb: ti.op = XOp::Lb; break;
         case Op::Lwu_u: ti.op = XOp::LwU; break;
-        case Op::Sw_u: ti.op = XOp::SwU; break;
+        case Op::Sw: ti.op = XOp::Sw; break;
+        case Op::Sh: ti.op = XOp::Sh; break;
         case Op::Sb: ti.op = XOp::Sb; break;
+        case Op::Sw_u: ti.op = XOp::SwU; break;
         case Op::Cksum32: ti.op = XOp::Cksum32; break;
         case Op::Bswap32: ti.op = XOp::Bswap32; break;
         case Op::Bswap16: ti.op = XOp::Bswap16; break;
@@ -1093,7 +967,6 @@ void JitBackend::build() {
         case Op::kCount: ti.op = XOp::Bad; break;
       }
       code_.push_back(ti);
-      cs.update(f);
     }
 
     // Unconditional transfers are always the last op of their superblock
@@ -1178,9 +1051,8 @@ std::string JitBackend::dump() const {
   char line[192];
   std::snprintf(line, sizeof line,
                 "jit: %zu source insns, %zu superblocks, %zu fused loops, "
-                "%zu folded guards, %zu slots\n",
-                prog_.insns.size(), sbs_.size(), loops_.size(), folded_,
-                code_.size());
+                "%zu slots\n",
+                prog_.insns.size(), sbs_.size(), loops_.size(), code_.size());
   out += line;
   const auto n = static_cast<std::uint32_t>(prog_.insns.size());
   for (const SbMeta& sb : sbs_) {
@@ -1247,26 +1119,12 @@ std::string JitBackend::dump() const {
           std::snprintf(line, sizeof line, "  fall-through -> @%u\n", t.pc);
           out += line;
           break;
-        default: {
-          const Insn& f = prog_.insns[t.pc];
-          const char* folded = "";
-          if (t.op == XOp::AlignFault) {
-            folded = "  [folded: align-fault]";
-          } else if (t.op == XOp::LwU && f.op == Op::Lw) {
-            folded = "  [folded: aligned]";
-          } else if (t.op == XOp::SwU && f.op == Op::Sw) {
-            folded = "  [folded: aligned]";
-          } else if (t.op == XOp::Jmp && f.op != Op::Jmp) {
-            folded = "  [folded: taken]";
-          } else if (t.op == XOp::Nop && f.op != Op::Nop) {
-            folded = "  [folded: not-taken]";
-          }
-          std::snprintf(line, sizeof line, "  %4u: %s  [+%u insn, +%u cyc]%s\n",
-                        t.pc, to_string(f).c_str(), t.sum_insns, t.sum_cycles,
-                        folded);
+        default:
+          std::snprintf(line, sizeof line, "  %4u: %s  [+%u insn, +%u cyc]\n",
+                        t.pc, to_string(prog_.insns[t.pc]).c_str(),
+                        t.sum_insns, t.sum_cycles);
           out += line;
           break;
-        }
       }
     }
   }

@@ -12,13 +12,7 @@
 //     static-cycle bound of the longest fall-through path), with the exact
 //     counters materialized lazily on exit via per-op prefix sums;
 //   - `Env::fast_mem` two-window checks inlined into the load/store
-//     templates;
-//   - constant-folded guards: alignment checks on accesses whose base
-//     register is provably constant within the superblock are resolved at
-//     lowering time (folded to the unaligned-form template, or to a
-//     pre-faulted slot), and branches with both operands provably constant
-//     are folded to jumps/fall-throughs — this covers the sandbox's DPF
-//     atom mask+compare sequences;
+//     templates, each of which keeps its own alignment check;
 //   - fused DILP pipe chains: a superblock matching the dilp::Compiler
 //     word-loop skeleton (load, register-pure pipe bodies, store, pointer
 //     bumps, back-edge) is additionally lowered to a native single pass
@@ -57,12 +51,8 @@ class JitBackend {
   JitBackend& operator=(const JitBackend&) = delete;
 
   const Program& program() const noexcept { return prog_; }
-  const JumpTable& jump_table() const noexcept { return jt_; }
   std::size_t superblock_count() const noexcept { return sbs_.size(); }
   std::size_t fused_loop_count() const noexcept { return loops_.size(); }
-  /// Guards resolved at lowering time: provably aligned/misaligned
-  /// accesses and provably taken/untaken branches.
-  std::size_t folded_guard_count() const noexcept { return folded_; }
   std::uint64_t run_count() const noexcept { return runs_; }
   std::size_t emitted_bytes() const noexcept;
 
@@ -97,7 +87,6 @@ class JitBackend {
     Sll, Slli, Srl, Srli, Sra, Srai,
     Sltu, Slt, Fadd, Fmul,
     Lw, Lhu, Lh, Lbu, Lb, LwU, Sw, Sh, Sb, SwU,
-    AlignFault,  // constant-folded guard proved the access misaligned
     Cksum32, Bswap32, Bswap16,
     Pin, Pout,   // pipe I/O; width in c
     TMsgLen, TSend, TDilp, TUserCopy, TMsgLoad,
@@ -173,7 +162,6 @@ class JitBackend {
   std::vector<std::uint32_t> entry_of_;  // leader pc -> emitted index
   std::vector<LoopInfo> loops_;
   std::vector<SbMeta> sbs_;
-  std::size_t folded_ = 0;
   mutable std::uint64_t runs_ = 0;
 };
 

@@ -129,6 +129,30 @@ TEST(TimerWheel, RearmChurnLeavesOnlyTheLiveTimer) {
   EXPECT_EQ(fired[0].deadline, 1999u);
 }
 
+TEST(TimerWheel, IdleWheelStaysEmptyAndFindsTheNextArm) {
+  // Everything cancelled, one deadline in the overflow list: the idle
+  // wheel reports nothing on consecutive calls, and a later arm is found
+  // and fires alone.
+  TimerWheel w(100, 4);
+  const auto a = w.arm(150, 1);
+  const auto b = w.arm(250, 2);
+  const auto far = w.arm(5000, 3);
+  EXPECT_TRUE(w.cancel(a));
+  EXPECT_TRUE(w.cancel(b));
+  EXPECT_TRUE(w.cancel(far));
+  EXPECT_FALSE(w.next_deadline().has_value());
+  EXPECT_FALSE(w.next_deadline().has_value());
+
+  w.arm(300, 4);
+  ASSERT_TRUE(w.next_deadline().has_value());
+  EXPECT_EQ(*w.next_deadline(), 300u);
+  const auto fired = drain(w, 6000);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].cookie, 4u);
+  EXPECT_EQ(fired[0].deadline, 300u);
+  EXPECT_FALSE(w.next_deadline().has_value());
+}
+
 TEST(TimerWheel, ZeroDelayDeadlineFiresOnNextAdvance) {
   TimerWheel w(100, 8);
   w.arm(0, 1);

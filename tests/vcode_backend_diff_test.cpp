@@ -256,7 +256,7 @@ Program random_program(util::Rng& rng) {
                                    Op::Bgeu, Op::Blt, Op::Bge};
       in.op = kBr[rng.below(std::size(kBr))];
       in.a = reg();
-      in.b = rng.chance(1, 3) ? 0 : reg();  // r0 compares fold cheaply
+      in.b = rng.chance(1, 3) ? 0 : reg();  // a third compare with r0
       in.imm = static_cast<std::uint32_t>(rng.below(n));
     } else if (pick < 63) {
       in.op = Op::Jmp;

@@ -11,8 +11,7 @@
 //   ashtool dump-translated <file>        print the download-time
 //                                         translated form: the superblock
 //                                         JIT lowering (superblock CFG,
-//                                         folded guards, fused loops,
-//                                         emitted listing)
+//                                         fused loops, emitted listing)
 //   ashtool status <file> [msgs]          download into a supervised
 //                                         one-node kernel, offer `msgs`
 //                                         messages (default 10), and print
